@@ -3,9 +3,10 @@
 Replays the Fig. 8c synthetic stream (60K events at full scale, 1 REST
 fault per 1000) with detection deferred, then times the detection
 drain — the Algorithm 2 adaptive-buffer loop over every frozen
-snapshot — with the from-scratch reference scorer
-(``incremental_match=False``) and with the ``repro.core.matching``
-engine (the production default).  Three oracles guard the speedup:
+snapshot — on the reference pipeline (``repro.oracle.ReferenceBuilder``:
+the full candidate scan and the from-scratch scorer) and on the
+production pipeline (compiled index + the ``repro.core.matching``
+engine).  Three oracles guard the speedup:
 
 * ``verify_detection`` replays every snapshot through both scorers and
   requires bit-identical ``DetectionResult``s (ops, θ, β, coverages,
@@ -22,7 +23,7 @@ EXPERIMENTS.md).
 """
 
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from conftest import (
     assert_no_drift,
@@ -33,9 +34,14 @@ from conftest import (
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.matching import verify_detection
-from repro.core.parallel import ShardedAnalyzer, verify_equivalence
+from repro.core.parallel import ShardedAnalyzer
+from repro.core.pipeline import PipelineBuilder
 from repro.monitoring.store import MetadataStore
+from repro.oracle import (
+    ReferenceBuilder,
+    verify_detection,
+    verify_equivalence,
+)
 from repro.workloads.traffic import SyntheticStream
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -76,18 +82,22 @@ def _committed_serial_detect_seconds():
     return payload.get("serial", {}).get("detect_seconds")
 
 
-def _config(incremental):
-    return GretelConfig(alpha=ALPHA, incremental_match=incremental)
+def _config():
+    return GretelConfig(alpha=ALPHA)
 
 
-def _time_detection(library, events, incremental):
-    """Best-of-N detection-drain timing for one scorer; returns the
+def _time_detection(library, events, reference):
+    """Best-of-N detection-drain timing for one pipeline; returns the
     sample plus the engine counters of the best run."""
     best = None
     for _ in range(REPEATS):
-        analyzer = GretelAnalyzer(
-            library, store=MetadataStore(), config=_config(incremental),
-            track_latency=False, defer_detection=True,
+        builder = (
+            ReferenceBuilder(library) if reference
+            else PipelineBuilder(library)
+        )
+        analyzer = (
+            builder.with_store(MetadataStore()).with_config(_config())
+            .track_latency(False).defer_detection(True).build_serial()
         )
         analyzer.feed(events)
         analyzer.flush()
@@ -109,7 +119,7 @@ def _time_sharded_detection(library, events, shards, backend="inline"):
     best = None
     for _ in range(REPEATS):
         analyzer = ShardedAnalyzer(
-            library, shards, store=MetadataStore(), config=_config(True),
+            library, shards, store=MetadataStore(), config=_config(),
             track_latency=False, defer_detection=True,
             backend=backend,
         )
@@ -131,7 +141,7 @@ def _time_sharded_detection(library, events, shards, backend="inline"):
 def _frozen_snapshots(library, events):
     """The stream's snapshots, frozen but not yet analyzed."""
     analyzer = GretelAnalyzer(
-        library, store=MetadataStore(), config=_config(True),
+        library, store=MetadataStore(), config=_config(),
         track_latency=False, defer_detection=True,
     )
     analyzer.feed(events)
@@ -198,8 +208,8 @@ def test_detection_throughput_baseline(character, save_result):
     )
     events = stream.events(event_count)
 
-    reference = _time_detection(library, events, incremental=False)
-    incremental = _time_detection(library, events, incremental=True)
+    reference = _time_detection(library, events, reference=True)
+    incremental = _time_detection(library, events, reference=False)
     speedup = (
         reference["detect_seconds"] / incremental["detect_seconds"]
     )
@@ -207,7 +217,7 @@ def test_detection_throughput_baseline(character, save_result):
     # Oracle 1: per-snapshot bit-identical DetectionResults.
     snapshots = _frozen_snapshots(library, events)
     serial_oracle = verify_detection(
-        snapshots, library, config=replace(_config(True)), strict=False,
+        snapshots, library, config=_config(), strict=False,
     )
 
     # Oracle 2: the sharded engines (which run the same incremental
@@ -216,7 +226,7 @@ def test_detection_throughput_baseline(character, save_result):
     for shards in SHARD_COUNTS:
         sample = _time_sharded_detection(library, events, shards)
         oracle = verify_equivalence(
-            events, library, shards, config=_config(True),
+            events, library, shards, config=_config(),
             track_latency=False, defer_detection=True, strict=False,
         )
         sample.update({"shards": shards, "equivalent": oracle.ok})
@@ -228,7 +238,7 @@ def test_detection_throughput_baseline(character, save_result):
     process = _time_sharded_detection(library, events, 4,
                                       backend="process")
     process_oracle = verify_equivalence(
-        events, library, 4, config=_config(True), track_latency=False,
+        events, library, 4, config=_config(), track_latency=False,
         defer_detection=True, strict=False, backend="process",
     )
     process.update({"shards": 4, "backend": "process",
@@ -253,7 +263,7 @@ def test_detection_throughput_baseline(character, save_result):
         "reference": reference,
         "incremental": incremental,
         "equivalent_serial": serial_oracle.ok,
-        "oracle_snapshots": serial_oracle.snapshots,
+        "oracle_snapshots": serial_oracle.facts["snapshots"],
         "sharded": sharded,
         "process": process,
         "acceptance": {

@@ -38,10 +38,11 @@ from conftest import (
 )
 from synthlib import sample_api_keys, synthetic_library
 
-from repro.analysis.compile import compile_library, verify_selection
+from repro.analysis.compile import compile_library
 from repro.core.config import GretelConfig
 from repro.core.detector import OperationDetector
 from repro.openstack.catalog import default_catalog
+from repro.oracle import ReferenceDetector, verify_selection
 
 SEED = 11           # library + API-sample seed
 ALPHABET = 160
@@ -61,14 +62,15 @@ def _committed_baseline():
     return load_committed("BENCH_index.json")
 
 
-def _config(indexed):
-    return GretelConfig(indexed_selection=indexed)
+def _config():
+    return GretelConfig()
 
 
 def _time_selection(library, catalog, api_keys, index):
     """``candidates_for`` sweep over ``api_keys``: (best, first, n).
 
-    ``index=None`` times the full-scan reference; otherwise the
+    ``index=None`` times the full-scan reference
+    (``repro.oracle.ReferenceDetector``); otherwise the production
     detector hydrates from the prebuilt artifact (compile time is
     reported separately — it is a build-time cost).  Each repeat uses
     a fresh detector; the artifact's hydration memo persists across
@@ -78,9 +80,12 @@ def _time_selection(library, catalog, api_keys, index):
     best = first = None
     candidates_total = 0
     for _ in range(REPEATS):
-        detector = OperationDetector(
-            library, library.symbols, catalog,
-            _config(index is not None), compiled_index=index,
+        detector = (
+            ReferenceDetector(library, library.symbols, catalog, _config())
+            if index is None else OperationDetector(
+                library, library.symbols, catalog, _config(),
+                compiled_index=index,
+            )
         )
         started = time.perf_counter()
         candidates_total = 0
@@ -134,7 +139,7 @@ def test_index_selection_micro(save_result):
     api_keys = sample_api_keys(library, SAMPLE_KEYS, seed=SEED)
 
     started = time.perf_counter()
-    index = compile_library(library, library.symbols, _config(True))
+    index = compile_library(library, library.symbols, _config())
     compile_seconds = time.perf_counter() - started
 
     scan_seconds, _, scan_candidates = _time_selection(
@@ -146,7 +151,7 @@ def test_index_selection_micro(save_result):
     speedup = scan_seconds / indexed_seconds
 
     oracle = verify_selection(
-        library, catalog=catalog, config=_config(True),
+        library, catalog=catalog, config=_config(),
         api_keys=sample_api_keys(library, ORACLE_KEYS, seed=SEED + 1),
         index=index, strict=False,
     )

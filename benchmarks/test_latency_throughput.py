@@ -4,12 +4,14 @@ Two measurements, one differential oracle (ISSUE 5):
 
 * **LS micro** — a per-API latency series (window = 24, the
   production ``ls_window``) fed sample-by-sample through the reference
-  :class:`~repro.core.outliers.LevelShiftDetector` (three O(w·log w)
+  :class:`~repro.oracle.LevelShiftDetector` (three O(w·log w)
   sorts per sample) and through the streaming
   :class:`~repro.core.streamstats.IncrementalLevelShiftDetector`
   (sorted rolling window + version-cached threshold).
 * **Fig. 8c ingest** — the synthetic stream replayed through the
-  serial analyzer with latency tracking *on* (detection deferred), so
+  serial analyzer with latency tracking *on* (detection deferred), on
+  a pipeline whose tracker feeds reference LS detectors
+  (``repro.oracle.ReferenceBuilder``) and on the production one, so
   the delta isolates what the LS engine saves on the §7.4.1 receiver
   path.
 
@@ -36,19 +38,17 @@ from conftest import (
     save_committed,
 )
 
-from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.parallel import (
-    ShardedAnalyzer,
-    source_node_key,
+from repro.core.parallel import ShardedAnalyzer, source_node_key
+from repro.core.pipeline import PipelineBuilder
+from repro.core.streamstats import detector_from_config
+from repro.monitoring.store import MetadataStore
+from repro.oracle import (
+    ReferenceBuilder,
+    reference_levelshift,
     verify_equivalence,
-)
-from repro.core.streamstats import (
-    LevelShiftEquivalence,
-    detector_from_config,
     verify_levelshift_stream,
 )
-from repro.monitoring.store import MetadataStore
 from repro.workloads.traffic import SyntheticStream
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -72,8 +72,8 @@ def _committed_baseline():
     return load_committed("BENCH_latency.json")
 
 
-def _config(incremental):
-    return GretelConfig(alpha=ALPHA, incremental_ls=incremental)
+def _config():
+    return GretelConfig(alpha=ALPHA)
 
 
 def _micro_series(samples):
@@ -92,13 +92,12 @@ def _micro_series(samples):
     return series
 
 
-def _time_micro(series, incremental):
+def _time_micro(series, reference):
     """Best-of-N timing of one detector over the micro series."""
+    build = reference_levelshift if reference else detector_from_config
     best = None
     for _ in range(REPEATS):
-        detector = detector_from_config(
-            GretelConfig(ls_window=WINDOW), incremental=incremental,
-        )
+        detector = build(GretelConfig(ls_window=WINDOW))
         update = detector.update
         started = time.perf_counter()
         for ts, value in series:
@@ -114,14 +113,17 @@ def _time_micro(series, incremental):
     return best
 
 
-def _time_ingest(library, events, incremental):
+def _time_ingest(library, events, reference):
     """Best-of-N latency-tracked serial ingest (detection deferred)."""
     best = None
     for _ in range(REPEATS):
-        analyzer = GretelAnalyzer(
-            library, store=MetadataStore(),
-            config=_config(incremental),
-            track_latency=True, defer_detection=True,
+        builder = (
+            ReferenceBuilder(library) if reference
+            else PipelineBuilder(library)
+        )
+        analyzer = (
+            builder.with_store(MetadataStore()).with_config(_config())
+            .track_latency(True).defer_detection(True).build_serial()
         )
         started = time.perf_counter()
         analyzer.feed(events)
@@ -157,8 +159,9 @@ def _shard_buckets(events, shards):
 
 def _verify_shard_streams(events, shards):
     """The LS oracle over every shard's sub-stream, merged."""
-    total = LevelShiftEquivalence(series=0, samples=0)
-    for bucket in _shard_buckets(events, shards):
+    buckets = _shard_buckets(events, shards)
+    total = verify_levelshift_stream(buckets[0], strict=False)
+    for bucket in buckets[1:]:
         total.merge(verify_levelshift_stream(bucket, strict=False))
     return total
 
@@ -222,16 +225,16 @@ def test_latency_throughput_baseline(character, save_result):
 
     # The LS micro pair.
     series = _micro_series(micro_samples)
-    micro_reference = _time_micro(series, incremental=False)
-    micro_incremental = _time_micro(series, incremental=True)
+    micro_reference = _time_micro(series, reference=True)
+    micro_incremental = _time_micro(series, reference=False)
     micro_speedup = (
         micro_reference["seconds"] / micro_incremental["seconds"]
     )
     assert micro_incremental["alarms"] == micro_reference["alarms"]
 
     # The latency-tracked ingest pair.
-    ingest_reference = _time_ingest(library, events, incremental=False)
-    ingest_incremental = _time_ingest(library, events, incremental=True)
+    ingest_reference = _time_ingest(library, events, reference=True)
+    ingest_incremental = _time_ingest(library, events, reference=False)
     ingest_speedup = (
         ingest_reference["ingest_seconds"]
         / ingest_incremental["ingest_seconds"]
@@ -246,13 +249,13 @@ def test_latency_throughput_baseline(character, save_result):
     for shards in SHARD_COUNTS:
         ls_oracle = _verify_shard_streams(events, shards)
         report_oracle = verify_equivalence(
-            events, library, shards, config=_config(True),
+            events, library, shards, config=_config(),
             track_latency=True, defer_detection=True, strict=False,
         )
         sharded.append({
             "shards": shards,
             "levelshift_ok": ls_oracle.ok,
-            "levelshift_series": ls_oracle.series,
+            "levelshift_series": ls_oracle.facts["series"],
             "equivalent": report_oracle.ok,
         })
 
@@ -281,9 +284,9 @@ def test_latency_throughput_baseline(character, save_result):
         },
         "oracle": {
             "serial_ok": serial_oracle.ok,
-            "series": serial_oracle.series,
-            "samples": serial_oracle.samples,
-            "alarms": serial_oracle.alarms,
+            "series": serial_oracle.facts["series"],
+            "samples": serial_oracle.facts["samples"],
+            "alarms": serial_oracle.facts["alarms"],
         },
         "sharded": sharded,
         "acceptance": {

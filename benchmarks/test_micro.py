@@ -93,7 +93,7 @@ def test_levelshift_update(benchmark):
 def test_levelshift_update_reference(benchmark):
     """The same series through the from-scratch reference detector
     (three sorts per sample) — the before/after pair for streamstats."""
-    from repro.core.outliers import LevelShiftDetector
+    from repro.oracle import LevelShiftDetector
 
     series = _levelshift_series()
 
@@ -108,10 +108,11 @@ def test_levelshift_update_reference(benchmark):
     assert detector.alarms
 
 
-def _detection_fixture(character, **overrides):
+def _detection_fixture(character, reference=False):
     from repro.core.config import GretelConfig
     from repro.core.detector import OperationDetector
     from repro.core.window import Snapshot
+    from repro.oracle import ReferenceDetector
     from repro.workloads.traffic import SyntheticStream
 
     catalog = default_catalog()
@@ -121,9 +122,10 @@ def _detection_fixture(character, **overrides):
     fault = next(e for e in events if e.error)
     snapshot = Snapshot(fault=fault, events=events[:1400],
                         fault_index=events.index(fault))
-    detector = OperationDetector(
+    detector_type = ReferenceDetector if reference else OperationDetector
+    detector = detector_type(
         character.library, character.library.symbols, catalog,
-        GretelConfig(p_rate=1300.0, **overrides),
+        GretelConfig(p_rate=1300.0),
     )
     return detector, snapshot
 
@@ -152,10 +154,10 @@ def test_operation_detection(benchmark, character):
 
 
 def test_operation_detection_reference(benchmark, character):
-    """The same pass with the from-scratch reference scorer — the
-    before/after pair for the incremental engine."""
-    detector, snapshot = _detection_fixture(character,
-                                            incremental_match=False)
+    """The same pass on the reference detector (full candidate scan +
+    from-scratch scorer) — the before/after pair for the incremental
+    engine."""
+    detector, snapshot = _detection_fixture(character, reference=True)
 
     result = benchmark(detector.detect, snapshot)
     assert result.candidates > 0
@@ -165,7 +167,7 @@ def test_score_fresh(benchmark, character):
     """From-scratch scoring across one β growth schedule: every
     iteration re-joins, re-strips and re-runs the LCS over the whole
     window (the reference scorer's cost model)."""
-    detector, snapshot = _detection_fixture(character)
+    detector, snapshot = _detection_fixture(character, reference=True)
     candidates = detector.candidates_for(snapshot.fault.api_key)
     windows = _growth_windows(detector, snapshot)
 

@@ -37,8 +37,9 @@ from conftest import (
 )
 
 from repro.core.config import GretelConfig
-from repro.core.parallel import ShardedAnalyzer, verify_equivalence
+from repro.core.parallel import ShardedAnalyzer
 from repro.monitoring.store import MetadataStore
+from repro.oracle import verify_equivalence
 from repro.workloads.traffic import SyntheticStream
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -168,8 +169,8 @@ def test_parallel_process_gate(character, save_result):
             )
             sample.update({
                 "equivalent": oracle.ok,
-                "serial_reports": oracle.serial_reports,
-                "sharded_reports": oracle.sharded_reports,
+                "serial_reports": oracle.facts["serial_reports"],
+                "sharded_reports": oracle.facts["sharded_reports"],
             })
             runs.append(sample)
 

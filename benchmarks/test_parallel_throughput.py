@@ -31,8 +31,9 @@ from conftest import (
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.parallel import ShardedAnalyzer, verify_equivalence
+from repro.core.parallel import ShardedAnalyzer
 from repro.monitoring.store import MetadataStore
+from repro.oracle import verify_equivalence
 from repro.workloads.traffic import SyntheticStream
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -183,8 +184,8 @@ def test_parallel_throughput_baseline(character, save_result):
             "speedup_effective":
                 sample["effective_eps"] / serial["effective_eps"],
             "equivalent": oracle.ok,
-            "serial_reports": oracle.serial_reports,
-            "sharded_reports": oracle.sharded_reports,
+            "serial_reports": oracle.facts["serial_reports"],
+            "sharded_reports": oracle.facts["sharded_reports"],
         })
         sharded.append(sample)
 
@@ -208,8 +209,8 @@ def test_parallel_throughput_baseline(character, save_result):
         "speedup_effective":
             process["effective_eps"] / serial["effective_eps"],
         "equivalent": process_oracle.ok,
-        "serial_reports": process_oracle.serial_reports,
-        "sharded_reports": process_oracle.sharded_reports,
+        "serial_reports": process_oracle.facts["serial_reports"],
+        "sharded_reports": process_oracle.facts["sharded_reports"],
     })
 
     # Read the committed baseline *before* a full-scale run overwrites

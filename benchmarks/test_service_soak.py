@@ -59,13 +59,8 @@ from conftest import (
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.monitoring.store import MetadataStore
-from repro.service import (
-    CheckpointStore,
-    StreamingService,
-    TenantSession,
-    verify_async,
-    verify_checkpoint,
-)
+from repro.oracle import verify_async, verify_checkpoint
+from repro.service import CheckpointStore, StreamingService, TenantSession
 from repro.workloads.traffic import SyntheticStream
 
 FAULT_EVERY = 1000
@@ -471,17 +466,17 @@ def _run_oracles(library, events, config):
         "verify_checkpoint": {
             "ok": checkpoint.ok,
             "events": len(events),
-            "cuts": len(checkpoint.cuts),
+            "cuts": len(checkpoint.facts["cuts"]),
         },
         "verify_async_inline": {
             "ok": async_inline.ok,
-            "events": async_inline.events,
-            "reports": async_inline.async_reports,
+            "events": async_inline.facts["events"],
+            "reports": async_inline.facts["async_reports"],
         },
         "verify_async_process": {
             "ok": async_process.ok,
-            "events": async_process.events,
-            "reports": async_process.async_reports,
+            "events": async_process.facts["events"],
+            "reports": async_process.facts["async_reports"],
         },
     }
 

@@ -29,7 +29,7 @@ from repro import Cloud, GretelConfig, MonitoringPlane, PipelineBuilder, Workloa
 from repro.baselines.hansel import HanselAnalyzer
 from repro.core.pipeline import StageTimer
 from repro.baselines.loganalysis import LogAnalysisBaseline
-from repro.core.parallel import verify_equivalence
+from repro.oracle import verify_equivalence
 from repro.evaluation.common import default_characterization, default_suite, p_rate_for
 from repro.openstack.topology import default_topology
 

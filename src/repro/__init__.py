@@ -42,7 +42,6 @@ from repro.core import (
     ShardedAnalyzer,
     SymbolTable,
     characterize_suite,
-    verify_equivalence,
 )
 from repro.workloads import WorkloadRunner, build_suite
 
@@ -67,6 +66,5 @@ __all__ = [
     "build_suite",
     "characterize_suite",
     "default_topology",
-    "verify_equivalence",
     "__version__",
 ]

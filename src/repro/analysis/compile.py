@@ -4,7 +4,7 @@
 this module *compiles* it.  :func:`compile_library` statically
 analyzes a :class:`~repro.core.fingerprint.FingerprintLibrary` and
 emits a versioned :class:`CompiledIndex` artifact that the online
-detector consumes (``GretelConfig.indexed_selection``):
+detector serves candidate selection from:
 
 * **Inverted postings** — state-change/read symbol → the operations
   containing it, sorted by operation name (the pinned
@@ -24,18 +24,18 @@ detector consumes (``GretelConfig.indexed_selection``):
   buffer must supply before the gate can pass).
 
 Preparation goes through the *same*
-:func:`repro.core.detector.prepare_candidate` the full-scan path
+:func:`repro.core.detector.prepare_candidate` the reference full scan
 uses, so a hydrated candidate equals a scanned one by construction;
-:func:`verify_selection` is the differential oracle that proves it on
-live inputs and end-to-end detections.
+:func:`repro.oracle.verify_selection` is the differential oracle that
+proves it on live inputs and end-to-end detections.
 
 Staleness story: the artifact records SHA-256 hashes of the library
 contents and the symbol table (:func:`library_hash`,
 :func:`symbol_table_hash`) plus the selection-relevant config flags.
 The ``index-drift`` lint pass re-derives both hashes from the live
-system and fails CI when they disagree; at runtime a detector refuses
-to serve from an index whose flags do not match its config (it falls
-back to the full scan — a stale index must never change a diagnosis).
+system and fails CI when they disagree; a detector refuses, at
+construction, an index whose flags do not match its config (a stale
+index must never change a diagnosis).
 
 Serialization is canonical: symbols are stored as zero-padded
 uppercase hex code points, every mapping is emitted with sorted keys,
@@ -50,7 +50,7 @@ import hashlib
 import json
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -67,11 +67,10 @@ from weakref import WeakKeyDictionary
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.symbols import SymbolTable
-from repro.openstack.catalog import ApiCatalog, default_catalog
+from repro.openstack.catalog import ApiCatalog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.detector import _Candidate
-    from repro.core.window import Snapshot
 
 #: Artifact format version; bumped on any serialization change.
 FORMAT_VERSION = 1
@@ -314,8 +313,7 @@ class CompiledIndex:
 
     def serves(self, config: GretelConfig) -> bool:
         """Whether this index was compiled for ``config``'s selection
-        flags (a mismatched index must not be served — the detector
-        falls back to the full scan)."""
+        flags (a detector refuses a mismatched one)."""
         return selection_flags(config) == self.flags
 
     def entry_for(self, symbol: str) -> Optional[SymbolEntry]:
@@ -735,168 +733,3 @@ def compiled_index_for(
         index = compile_library(library, symbols=symbols, config=config)
         per_library[key] = index
     return index
-
-
-# ---------------------------------------------------------------------------
-# Differential selection oracle
-# ---------------------------------------------------------------------------
-
-class SelectionDivergence(AssertionError):
-    """Indexed candidate selection diverged from the full-scan
-    reference (or changed an end-to-end detection)."""
-
-
-#: Complete comparable identity of one prepared candidate.
-CandidateSignature = Tuple[str, str, Tuple[int, ...], str, bool]
-
-
-def candidate_signature(candidate: "_Candidate") -> CandidateSignature:
-    """(operation, required symbols, cuts, full symbols, pure_read) —
-    stronger than the operation-name multiset the acceptance bar asks
-    for: preparation *content* must match, not just membership."""
-    return (
-        candidate.original.operation,
-        candidate.sc_symbols,
-        tuple(candidate.cut_lengths),
-        candidate.full_symbols,
-        candidate.pure_read,
-    )
-
-
-@dataclass
-class SelectionEquivalence:
-    """Outcome of one indexed-vs-full-scan differential replay."""
-
-    api_keys: int
-    snapshots: int
-    #: Human-readable divergence descriptions.
-    mismatches: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every comparison was identical."""
-        return not self.mismatches
-
-    def summary(self) -> str:
-        """One operator-facing line (plus divergence details if any)."""
-        verdict = "EQUIVALENT" if self.ok else "DIVERGED"
-        lines = [
-            f"{verdict}: indexed vs full-scan selection on "
-            f"{self.api_keys} api key(s) x 2 truncation modes, "
-            f"{self.snapshots} end-to-end snapshot(s) — "
-            f"{len(self.mismatches)} mismatches"
-        ]
-        lines.extend(f"  {detail}" for detail in self.mismatches[:5])
-        if len(self.mismatches) > 5:
-            lines.append(f"  ... {len(self.mismatches) - 5} more")
-        return "\n".join(lines)
-
-
-def _library_api_keys(
-    library: FingerprintLibrary, symbols: SymbolTable
-) -> List[str]:
-    """Every api key whose symbol some fingerprint contains, sorted."""
-    return sorted(
-        symbols.api_key(symbol) for symbol in library.postings()
-    )
-
-
-def verify_selection(
-    library: FingerprintLibrary,
-    *,
-    symbols: Optional[SymbolTable] = None,
-    catalog: Optional[ApiCatalog] = None,
-    config: Optional[GretelConfig] = None,
-    api_keys: Optional[Sequence[str]] = None,
-    snapshots: Sequence["Snapshot"] = (),
-    index: Optional[CompiledIndex] = None,
-    strict: bool = True,
-) -> SelectionEquivalence:
-    """Prove indexed selection equivalent to the full scan.
-
-    Two fresh detectors share the library/symbols/catalog and differ
-    only in ``indexed_selection`` (the indexed one may be handed a
-    pre-built — possibly corrupted — ``index``; by default it compiles
-    its own).  Two comparisons run:
-
-    * per ``api_key`` × truncation mode, the prepared candidate lists
-      must match signature-for-signature (operation multiset equality
-      is implied; order and preparation content are held too, because
-      both are pinned contracts);
-    * per frozen snapshot, end-to-end
-      :func:`~repro.core.matching.oracle.detection_signature` equality
-      — indexed selection must not change a single diagnosis field.
-
-    With ``strict`` (the default) any divergence raises
-    :class:`SelectionDivergence`; otherwise inspect
-    :attr:`SelectionEquivalence.ok`.
-    """
-    from repro.core.detector import OperationDetector
-    from repro.core.matching.oracle import detection_signature
-
-    base = config or GretelConfig()
-    symbols = symbols or library.symbols
-    catalog = catalog or default_catalog()
-    indexed = OperationDetector(
-        library, symbols, catalog,
-        replace(base, indexed_selection=True),
-        compiled_index=index,
-    )
-    reference = OperationDetector(
-        library, symbols, catalog,
-        replace(base, indexed_selection=False),
-    )
-    if api_keys is None:
-        api_keys = _library_api_keys(library, symbols)
-
-    result = SelectionEquivalence(
-        api_keys=len(api_keys), snapshots=len(snapshots),
-    )
-    for api_key in api_keys:
-        for truncate in (True, False):
-            expected = [
-                candidate_signature(c)
-                for c in reference.candidates_for(
-                    api_key, truncate=truncate
-                )
-            ]
-            actual = [
-                candidate_signature(c)
-                for c in indexed.candidates_for(
-                    api_key, truncate=truncate
-                )
-            ]
-            if expected == actual:
-                continue
-            expected_ops = Counter(sig[0] for sig in expected)
-            actual_ops = Counter(sig[0] for sig in actual)
-            if expected_ops != actual_ops:
-                missing = sorted(
-                    (expected_ops - actual_ops).elements()
-                )[:3]
-                extra = sorted(
-                    (actual_ops - expected_ops).elements()
-                )[:3]
-                result.mismatches.append(
-                    f"{api_key} (truncate={truncate}): candidate "
-                    f"multisets differ — scan {len(expected)} vs "
-                    f"indexed {len(actual)}; missing {missing}, "
-                    f"extra {extra}"
-                )
-            else:
-                result.mismatches.append(
-                    f"{api_key} (truncate={truncate}): same operations "
-                    "but preparations or order differ"
-                )
-    for snapshot in snapshots:
-        expected_sig = detection_signature(reference.detect(snapshot))
-        actual_sig = detection_signature(indexed.detect(snapshot))
-        if expected_sig != actual_sig:
-            result.mismatches.append(
-                f"fault seq={expected_sig[0]}: detection diverged — "
-                f"scan ops={list(expected_sig[1])} vs indexed "
-                f"ops={list(actual_sig[1])}"
-            )
-    if strict and not result.ok:
-        raise SelectionDivergence(result.summary())
-    return result

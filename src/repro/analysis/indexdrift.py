@@ -23,8 +23,7 @@ Rules
 ``IDX004`` (warning)
     The artifact was compiled for different selection flags
     (``prune_rpcs`` / ``relaxed_match`` / ``truncate_fingerprints``)
-    than the context's config; the runtime will ignore it and fall
-    back to the full scan.
+    than the context's config; a detector refuses to be built on it.
 ``IDX005`` (warning)
     Artifact format version differs from this build's
     ``FORMAT_VERSION`` (only reachable for programmatically built
@@ -108,8 +107,8 @@ def run(ctx: LintContext) -> List[Finding]:
                 f"truncate_fingerprints={index.flags[2]}) but the "
                 f"config selects (prune_rpcs={live[0]}, "
                 f"relaxed_match={live[1]}, "
-                f"truncate_fingerprints={live[2]}); the detector will "
-                "ignore it and run the full scan"
+                f"truncate_fingerprints={live[2]}); a detector will "
+                "refuse it"
             ),
             fix_hint=(
                 "rebuild the artifact under the deployed config: "

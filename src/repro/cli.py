@@ -22,17 +22,16 @@ Commands
 ``analyze``
     Replay a synthetic wire-event stream through the sharded online
     analyzer and print throughput (``--format json`` emits reports +
-    stage stats machine-readably); ``--verify-shards`` also replays it
-    serially and asserts identical report sets, and
-    ``--verify-selection`` proves indexed candidate selection
-    equivalent to the full scan (differential oracles; see
-    ``docs/parallelism.md`` and ``docs/indexing.md``).
+    stage stats machine-readably); ``--verify NAME`` (repeatable) runs
+    the ``shards``, ``selection``, ``detection`` or ``levelshift``
+    differential oracle on the same stream (see
+    ``docs/architecture.md``).
 ``serve``
     Replay a synthetic stream through the multi-tenant streaming
     service layer: per-tenant analyzer sessions with bounded queues
     and backpressure, periodic durable checkpoints (``--resume``
-    continues from them), and the checkpoint/kill/restore
-    differential oracle via ``--verify-checkpoint`` (see
+    continues from them), and the ``checkpoint`` and ``async``
+    differential oracles via ``--verify NAME`` (see
     ``docs/service.md``).
 ``scenarios list`` / ``scenarios run``
     Enumerate the fault-injection scenario catalog, or run it (or a
@@ -328,16 +327,118 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _analyze_builder(builder, args: argparse.Namespace, config):
+    """Wire ``builder`` the way ``repro analyze`` replays a stream."""
+    from repro.monitoring.store import MetadataStore
+
+    return (
+        builder.with_store(MetadataStore())
+        .with_config(config)
+        .track_latency(not args.no_latency)
+        .defer_detection(True)
+    )
+
+
+def _deferred_snapshots(args: argparse.Namespace, library, events,
+                        config) -> list:
+    """The stream's frozen snapshots, collected once serially."""
+    from repro.core.pipeline import PipelineBuilder
+
+    serial = _analyze_builder(
+        PipelineBuilder(library), args, config
+    ).build_serial()
+    serial.feed(events)
+    serial.flush()
+    return serial.pipeline.deferred_snapshots()
+
+
+#: ``repro analyze --verify NAME`` choices.
+ANALYZE_ORACLES = ("shards", "selection", "detection", "levelshift")
+
+
+def _analyze_oracle(name: str, args: argparse.Namespace, library,
+                    events, config):
+    """Run one ``repro analyze --verify NAME`` oracle leg."""
+    from repro import oracle
+
+    if name == "shards":
+        return oracle.verify_equivalence(
+            events, library, args.shards, batch_size=args.batch_size,
+            config=config, track_latency=not args.no_latency,
+            defer_detection=True, strict=False, backend=args.backend,
+        )
+    if name == "levelshift":
+        return oracle.verify_levelshift_stream(
+            events, config=config, strict=False,
+        )
+    snapshots = _deferred_snapshots(args, library, events, config)
+    if name == "detection":
+        return oracle.verify_detection(
+            snapshots, library, config=config, strict=False,
+        )
+    return oracle.verify_selection(
+        library, config=config, snapshots=snapshots, strict=False,
+    )
+
+
+def _selection_replays(args: argparse.Namespace, library, events,
+                       config) -> dict:
+    """End-to-end leg of ``--verify selection``: full replays on the
+    production and the reference pipeline must publish identical
+    report sets, serially and sharded.  The reference is built
+    through ``repro.oracle.ReferenceBuilder`` and always runs inline;
+    the production side uses ``--backend``."""
+    from repro.core.pipeline import PipelineBuilder
+    from repro.oracle import ReferenceBuilder, report_signature
+
+    def replay(reference: bool, sharded: bool):
+        builder = _analyze_builder(
+            ReferenceBuilder(library) if reference
+            else PipelineBuilder(library), args, config,
+        )
+        if sharded:
+            engine = builder.build_sharded(
+                args.shards, batch_size=args.batch_size,
+                backend="inline" if reference else args.backend,
+            )
+            engine.ingest(events)
+        else:
+            engine = builder.build_serial()
+            engine.feed(events)
+        engine.flush()
+        engine.process_deferred()
+        signatures = sorted(report_signature(r) for r in engine.reports)
+        engine.close()
+        return signatures
+
+    replays = {}
+    for label, sharded in (
+        ("serial", False), (f"{args.shards}-shard", True),
+    ):
+        production = replay(False, sharded)
+        reference = replay(True, sharded)
+        equivalent = production == reference
+        replays[label] = {
+            "equivalent": equivalent,
+            "indexed_reports": len(production),
+            "scan_reports": len(reference),
+        }
+        if args.format == "text":
+            verdict = "EQUIVALENT" if equivalent else "DIVERGED"
+            print(f"{verdict}: {label} reports, production vs "
+                  f"reference pipeline ({len(production)} vs "
+                  f"{len(reference)} reports)")
+    return replays
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
     import time
     from dataclasses import asdict
 
     from repro.core.config import GretelConfig
-    from repro.core.parallel import verify_equivalence
     from repro.core.pipeline import PipelineBuilder, StageCounters, StageTimer
     from repro.evaluation.common import default_characterization
-    from repro.monitoring.store import MetadataStore
     from repro.workloads.traffic import SyntheticStream
 
     text_mode = args.format == "text"
@@ -352,13 +453,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     events = stream.events(args.events)
     config = GretelConfig(alpha=args.alpha)
 
-    builder = (
-        PipelineBuilder(library)
-        .with_store(MetadataStore())
-        .with_config(config)
-        .track_latency(not args.no_latency)
-        .defer_detection(True)
-    )
+    builder = _analyze_builder(PipelineBuilder(library), args, config)
     timer: "StageTimer | None" = None
     counters: "StageCounters | None" = None
     if args.stage_stats and args.backend == "inline":
@@ -457,100 +552,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     analyzer.close()
 
     code = EXIT_OK
-    if args.verify_shards:
-        result = verify_equivalence(
-            events, library, args.shards, batch_size=args.batch_size,
-            config=config, track_latency=not args.no_latency,
-            defer_detection=True, strict=False,
-            backend=args.backend,
+    for name in dict.fromkeys(args.verify):
+        result = _analyze_oracle(name, args, library, events, config)
+        document[f"verify_{name}"] = dict(
+            result.to_dict(), summary=result.summary(),
         )
-        document["verify_shards"] = {
-            "ok": result.ok, "summary": result.summary(),
-        }
         if text_mode:
             print(result.summary())
         if not result.ok:
             code = EXIT_FAIL
-
-    if args.verify_selection:
-        from dataclasses import replace
-
-        from repro.analysis.compile import verify_selection
-        from repro.core.parallel import report_signature
-
-        # Candidate-level + per-snapshot oracle over the stream's
-        # frozen snapshots, collected once serially.
-        serial = (
-            PipelineBuilder(library)
-            .with_store(MetadataStore())
-            .with_config(config)
-            .track_latency(not args.no_latency)
-            .defer_detection(True)
-            .build_serial()
-        )
-        serial.feed(events)
-        serial.flush()
-        snapshots = serial.pipeline.deferred_snapshots()
-        selection = verify_selection(
-            library, config=config, snapshots=snapshots, strict=False,
-        )
-        document["verify_selection"] = {
-            "ok": selection.ok, "summary": selection.summary(),
-        }
-        if text_mode:
-            print(selection.summary())
-        if not selection.ok:
-            code = EXIT_FAIL
-
-        # End-to-end: full replays with indexed selection on vs off
-        # must publish bit-identical report sets, serially and sharded.
-        def replay(indexed: bool, sharded: bool):
-            cfg = replace(config, indexed_selection=indexed)
-            builder = (
-                PipelineBuilder(library)
-                .with_store(MetadataStore())
-                .with_config(cfg)
-                .track_latency(not args.no_latency)
-                .defer_detection(True)
-            )
-            if sharded:
-                engine = builder.build_sharded(
-                    args.shards, batch_size=args.batch_size,
-                    backend=args.backend,
-                )
-                engine.ingest(events)
-            else:
-                engine = builder.build_serial()
-                engine.feed(events)
-            engine.flush()
-            engine.process_deferred()
-            signatures = sorted(
-                report_signature(r) for r in engine.reports
-            )
-            engine.close()
-            return signatures
-
-        ok = True
-        replays = {}
-        for label, sharded in (
-            ("serial", False), (f"{args.shards}-shard", True),
-        ):
-            indexed_on = replay(True, sharded)
-            indexed_off = replay(False, sharded)
-            verdict = "EQUIVALENT" if indexed_on == indexed_off else "DIVERGED"
-            replays[label] = {
-                "equivalent": indexed_on == indexed_off,
-                "indexed_reports": len(indexed_on),
-                "scan_reports": len(indexed_off),
-            }
-            if text_mode:
-                print(f"{verdict}: {label} reports with indexed_selection "
-                      f"on vs off ({len(indexed_on)} vs {len(indexed_off)} "
-                      "reports)")
-            ok = ok and indexed_on == indexed_off
-        document["verify_selection"]["replays"] = replays
-        if not ok:
-            code = EXIT_FAIL
+        if name == "selection":
+            replays = _selection_replays(args, library, events, config)
+            document["verify_selection"]["replays"] = replays
+            if not all(r["equivalent"] for r in replays.values()):
+                code = EXIT_FAIL
 
     document["exit_code"] = code
     payload = json.dumps(document, indent=2) + "\n"
@@ -569,13 +584,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.config import GretelConfig
     from repro.evaluation.common import default_characterization
+    from repro.oracle import verify_async, verify_checkpoint
     from repro.service import (
         CheckpointStore,
         StreamingService,
-        verify_async,
-        verify_checkpoint,
+        bucket_tenant,
     )
-    from repro.service.async_oracle import bucket_tenant
     from repro.workloads.traffic import SyntheticStream
 
     text_mode = args.format == "text"
@@ -722,28 +736,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"  [{tenant}] {report.summary()}")
 
     code = EXIT_OK
-    if args.verify_async:
-        async_result = verify_async(
-            events, library,
-            tenants=args.tenants,
-            producers=args.pump_threads or args.tenants,
-            config=config,
-            track_latency=not args.no_latency,
-            shards=args.session_shards,
-            backend=args.backend,
-            strict=False,
+    for name in dict.fromkeys(args.verify):
+        if name == "async":
+            result = verify_async(
+                events, library,
+                tenants=args.tenants,
+                producers=args.pump_threads or args.tenants,
+                config=config,
+                track_latency=not args.no_latency,
+                shards=args.session_shards,
+                backend=args.backend,
+                strict=False,
+            )
+        else:
+            result = verify_checkpoint(
+                events, library, cuts=args.cuts, config=config,
+                track_latency=not args.no_latency, strict=False,
+            )
+        document[f"verify_{name}"] = dict(
+            result.to_dict(), summary=result.summary(),
         )
-        document["verify_async"] = async_result.to_dict()
-        if text_mode:
-            print(async_result.summary())
-        if not async_result.ok:
-            code = EXIT_FAIL
-    if args.verify_checkpoint:
-        result = verify_checkpoint(
-            events, library, cuts=args.cuts, config=config,
-            track_latency=not args.no_latency, strict=False,
-        )
-        document["verify_checkpoint"] = result.to_dict()
         if text_mode:
             print(result.summary())
         if not result.ok:
@@ -1000,17 +1012,14 @@ def build_parser() -> argparse.ArgumentParser:
              "per-shard worker counters merged via PipelineStats",
     )
     analyze.add_argument(
-        "--verify-shards", action="store_true",
-        help="also replay serially and assert identical report sets "
-             "(differential oracle; exit 1 on divergence)",
-    )
-    analyze.add_argument(
-        "--verify-selection", action="store_true",
-        help="prove indexed candidate selection equivalent to the "
-             "full scan on this stream's snapshots, then replay "
-             "end-to-end (serial and sharded) with indexed_selection "
-             "on vs off and assert bit-identical report sets "
-             "(differential oracle; exit 1 on divergence)",
+        "--verify", action="append", default=[], metavar="NAME",
+        choices=ANALYZE_ORACLES,
+        help="also run a differential oracle on this stream "
+             "(repeatable; exit 1 on divergence): shards (serial vs "
+             "sharded reports), selection (compiled index vs full "
+             "scan, plus end-to-end production vs reference "
+             "replays), detection (production vs reference scoring), "
+             "levelshift (incremental vs reference LS)",
     )
     analyze.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -1103,18 +1112,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable per-API latency tracking (pure operational path)",
     )
     serve.add_argument(
-        "--verify-checkpoint", action="store_true",
-        help="also run the checkpoint/kill/restore differential "
-             "oracle on this stream (exit 1 on divergence)",
-    )
-    serve.add_argument(
-        "--verify-async", action="store_true",
-        help="also run the sync-vs-async ingest-router differential "
-             "oracle on this stream (exit 1 on divergence)",
+        "--verify", action="append", default=[], metavar="NAME",
+        choices=("checkpoint", "async"),
+        help="also run a differential oracle on this stream "
+             "(repeatable; exit 1 on divergence): checkpoint "
+             "(straight vs killed-and-restored replay), async (sync "
+             "vs pump router)",
     )
     serve.add_argument(
         "--cuts", type=int, default=3,
-        help="checkpoint/kill/restore points for --verify-checkpoint "
+        help="checkpoint/kill/restore points for --verify checkpoint "
              "(default 3)",
     )
     serve.add_argument(

@@ -9,7 +9,7 @@ This package implements the paper's primary contribution:
   library with per-symbol indexing;
 * :mod:`repro.core.opfaults` — lightweight regex detection of
   operational faults in REST/RPC messages (§5.3);
-* :mod:`repro.core.outliers` / :mod:`repro.core.latency` — online
+* :mod:`repro.core.streamstats` / :mod:`repro.core.latency` — online
   level-shift detection over per-API latency series (the tsoutliers
   LS substitute, §6);
 * :mod:`repro.core.window` — the dual-buffer sliding window of size
@@ -24,8 +24,8 @@ This package implements the paper's primary contribution:
   every execution engine runs (see ``docs/architecture.md``);
 * :mod:`repro.core.analyzer` — the serial execution engine wiring
   everything together;
-* :mod:`repro.core.parallel` — the sharded execution engine and the
-  serial-vs-sharded differential-correctness oracle;
+* :mod:`repro.core.parallel` — the sharded execution engine (its
+  differential oracle lives in :mod:`repro.oracle`);
 * :mod:`repro.core.characterize` — the offline fingerprinting
   pipeline over a (Tempest-like) suite (§7.1).
 """
@@ -34,16 +34,9 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.characterize import CharacterizationResult, characterize_suite
 from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult, OperationDetector
-from repro.core.parallel import (
-    AnalyzerShard,
-    EquivalenceResult,
-    ShardDivergence,
-    ShardedAnalyzer,
-    verify_equivalence,
-)
+from repro.core.parallel import AnalyzerShard, ShardedAnalyzer
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary, generate_fingerprint
 from repro.core.incidents import Incident, IncidentAggregator
-from repro.core.outliers import LevelShiftDetector
 from repro.core.pipeline import (
     AnalysisPipeline,
     PipelineAnalyzer,
@@ -61,7 +54,6 @@ __all__ = [
     "AnalyzerShard",
     "CharacterizationResult",
     "DetectionResult",
-    "EquivalenceResult",
     "FaultReport",
     "Fingerprint",
     "FingerprintLibrary",
@@ -69,13 +61,11 @@ __all__ = [
     "GretelConfig",
     "Incident",
     "IncidentAggregator",
-    "LevelShiftDetector",
     "OperationDetector",
     "PipelineAnalyzer",
     "PipelineBuilder",
     "PipelineStats",
     "RootCauseFinding",
-    "ShardDivergence",
     "ShardedAnalyzer",
     "StageCounters",
     "StageTimer",
@@ -83,5 +73,4 @@ __all__ = [
     "characterize_suite",
     "generate_fingerprint",
     "theta",
-    "verify_equivalence",
 ]

@@ -54,22 +54,6 @@ class GretelConfig:
     #: Stop growing the context buffer after this many iterations
     #: without ranking improvement (the θ-drop stopping rule).
     stop_patience: int = 3
-    #: Score context-buffer iterations with the incremental matching
-    #: engine (``repro.core.matching``): per-candidate bit-rows kept
-    #: alive across β growth, so each iteration costs O(δ) instead of
-    #: O(β).  Bit-identical to the from-scratch reference scorer —
-    #: ``repro.core.matching.oracle.verify_detection`` is the proof —
-    #: so this is a pure performance switch; off runs the reference.
-    incremental_match: bool = True
-    #: Serve Algorithm 2 candidate selection from the compiled inverted
-    #: index (``repro.analysis.compile``): ``candidates_for`` becomes a
-    #: postings lookup plus prepared-candidate hydration instead of a
-    #: per-fingerprint preparation scan.  Candidate lists are provably
-    #: identical to the full-scan reference —
-    #: ``repro.analysis.compile.verify_selection`` is the differential
-    #: oracle — so this is a pure performance switch; off runs the
-    #: reference scan.
-    indexed_selection: bool = True
 
     #: §5.3.1 future work: "OpenStack is in the process of introducing
     #: a correlation identifier to tie together requests ... GRETEL can
@@ -79,17 +63,6 @@ class GretelConfig:
     #: offending message's correlation id before matching.  Off by
     #: default: Liberty-era deployments did not carry the header.
     use_correlation_ids: bool = False
-
-    #: Feed latency series through the incremental level-shift engine
-    #: (``repro.core.streamstats``): the rolling baseline is kept
-    #: sorted as it rolls, so the median is an O(1) read, the MAD an
-    #: O(log w) search, and the (median, MAD, threshold) triple is
-    #: cached between window mutations — instead of three O(w·log w)
-    #: sorts per latency sample.  Bit-identical to the reference
-    #: detector — ``repro.core.streamstats.verify_levelshift`` is the
-    #: proof — so this is a pure performance switch; off runs the
-    #: reference.
-    incremental_ls: bool = True
 
     #: Level-shift detector: baseline window length (samples).
     ls_window: int = 24

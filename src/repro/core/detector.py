@@ -37,7 +37,6 @@ RPC symbols are pruned from fingerprints and buffer when
 
 from __future__ import annotations
 
-import re as _re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
@@ -57,13 +56,8 @@ from repro.openstack.apis import ApiKind
 from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
-from repro.core.fingerprint import Fingerprint, FingerprintLibrary, prefix_lcs_lengths
-from repro.core.matching.engine import (
-    MatchingEngine,
-    MatchingStats,
-    MatchSession,
-    select_cut,
-)
+from repro.core.fingerprint import Fingerprint, FingerprintLibrary
+from repro.core.matching.engine import MatchingEngine, MatchingStats
 from repro.core.precision import theta
 from repro.core.state import require_state
 from repro.core.symbols import SymbolTable
@@ -78,6 +72,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Cap on how many truncation points are tried per fingerprint.
 _MAX_TRUNCATIONS = 6
 
+#: Scores gated candidates over ``snapshot.events[lo:hi]``:
+#: ``(lo, hi, finalized) -> {candidate index: (length, coverage)}``;
+#: ``finalized`` carries scores already at full coverage from a
+#: smaller buffer (coverage is monotone in buffer growth).
+Scores = Dict[int, Tuple[int, float]]
+ScoreFn = Callable[[int, int, Optional[Scores]], Scores]
+
 
 def batch_encoder(
     symbols: SymbolTable, config: Optional[GretelConfig] = None,
@@ -86,11 +87,11 @@ def batch_encoder(
 
     Returns a callable mapping a run of wire events to one symbol
     fragment per event — ``""`` for events that
-    :meth:`OperationDetector._encode_events` would filter (noise, and
-    RPCs under ``prune_rpcs``), the API's symbol otherwise.  The two
-    must stay in lockstep: windows built with this encoder attach the
-    fragments to their snapshots, and :meth:`OperationDetector.detect`
-    joins slices of them instead of re-encoding the context buffer.
+    :meth:`OperationDetector._fragment` would filter (noise, and RPCs
+    under ``prune_rpcs``), the API's symbol otherwise.  The two must
+    stay in lockstep: windows built with this encoder attach the
+    fragments to their snapshots, and detection reuses them instead
+    of re-encoding the context buffer.
     Filtering is folded into a per-API cache, so steady-state encoding
     is one dict lookup per event instead of a method call plus kind
     checks.
@@ -136,7 +137,6 @@ class _Candidate:
     alphabet: FrozenSet[str] = field(default_factory=frozenset)
     #: Needle symbol multiplicities, feeding :meth:`upper_bound`.
     needle_counts: Dict[str, int] = field(default_factory=dict)
-    _foreign: Optional["_re.Pattern"] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.needle_counts:
@@ -182,32 +182,6 @@ class _Candidate:
             matched += count if count < have else have
         return matched / len(source)
 
-    def score(self, buffer_symbols: str) -> Tuple[int, float]:
-        """Best (corroborated length, coverage) over truncation points.
-
-        The corroborated length is the LCS between the truncated
-        fingerprint and the buffer — how many of the operation's
-        ordered symbols the buffer actually witnesses.
-        """
-        foreign = self._foreign
-        if foreign is None and self.alphabet:
-            # C-speed removal of symbols outside the candidate's
-            # alphabet before the (Python-level) LCS.  Compiled on
-            # first use: the incremental engine never strips, so most
-            # candidates never pay the compile.
-            foreign = _re.compile(
-                "[^" + _re.escape("".join(sorted(self.alphabet))) + "]+"
-            )
-            self._foreign = foreign
-        if foreign is not None:
-            buffer_symbols = foreign.sub("", buffer_symbols)
-        if self.pure_read:
-            lengths = prefix_lcs_lengths(self.full_symbols, buffer_symbols)
-            total = max(1, len(self.full_symbols))
-            return lengths[-1], lengths[-1] / total
-        lengths = prefix_lcs_lengths(self.sc_symbols, buffer_symbols)
-        return select_cut(self.cut_lengths, lengths)
-
 
 def prepare_candidate(
     fingerprint: Fingerprint,
@@ -219,10 +193,10 @@ def prepare_candidate(
 ) -> _Candidate:
     """Prepare one fingerprint for scoring against ``symbol`` faults.
 
-    The single source of truth for candidate preparation: the
-    detector's full-scan path calls it per ``candidates_for`` miss, and
-    the library compiler (``repro.analysis.compile``) calls it per
-    posting at compile time — so a hydrated candidate is bit-identical
+    The single source of truth for candidate preparation: the library
+    compiler (``repro.analysis.compile``) calls it per posting at
+    compile time, and the reference full scan (``repro.oracle``) per
+    ``candidates_for`` miss — so a hydrated candidate is bit-identical
     to a scanned one by construction, not by parallel maintenance.
 
     ``effective`` is the (possibly RPC-pruned) fingerprint; when
@@ -317,16 +291,23 @@ class OperationDetector:
         self._rest_only_cache: Dict[str, Fingerprint] = {}
         self._candidate_cache: Dict[Tuple[str, bool], List[_Candidate]] = {}
         self._fragment_cache: Dict[str, str] = {}
-        #: Compiled selection index (``docs/indexing.md``).  ``None``
-        #: under ``indexed_selection`` means "compile lazily on first
-        #: selection"; an injected artifact is used as-is (the
-        #: ``verify_selection`` negative-oracle tests rely on that).
+        if compiled_index is not None and not compiled_index.serves(
+            self.config
+        ):
+            # Serving preparations compiled for other selection flags
+            # would change diagnoses, not just speed.
+            raise ValueError(
+                f"compiled index serves selection flags "
+                f"{compiled_index.flags}, not this config's"
+            )
+        #: Compiled selection index (``docs/indexing.md``); ``None``
+        #: means "compile lazily on first selection".  An injected
+        #: artifact is used as-is (the ``verify_selection``
+        #: negative-oracle tests rely on that).
         self._compiled = compiled_index
-        self._compile_attempted = compiled_index is not None
         #: Selection counters, surfaced through ``PipelineStats``:
-        #: postings entries examined (both paths) and candidates
-        #: hydrated from the compiled index rather than prepared by
-        #: the full scan.
+        #: postings entries examined and candidates hydrated from the
+        #: compiled index (the reference full scan hydrates none).
         self.postings_scanned = 0
         self.candidates_indexed = 0
         #: Incremental scoring engine (``docs/matching.md``); its
@@ -392,72 +373,40 @@ class OperationDetector:
             self._rest_only_cache[fingerprint.operation] = cached
         return cached
 
-    def _compiled_index(self) -> Optional["CompiledIndex"]:
+    def _index(self) -> "CompiledIndex":
         """The compiled selection index, compiling lazily on first use.
 
         The compile is memoized per ``(library, version, flags)`` in
         ``repro.analysis.compile``, so the shards of one analyzer — or
         any number of detectors over one library — share a single
-        compilation.  An index compiled for different selection flags
-        than this detector's config is never used (the full scan runs
-        instead): serving mismatched preparations would change
-        diagnoses, not just speed.
+        compilation.
         """
-        if not self._compile_attempted:
-            self._compile_attempted = True
+        if self._compiled is None:
             from repro.analysis.compile import compiled_index_for
 
             self._compiled = compiled_index_for(
                 self.library, self.symbols, self.catalog, self.config,
             )
-        index = self._compiled
-        if index is not None and not index.serves(self.config):
-            return None
-        return index
+        return self._compiled
 
     def candidates_for(self, api_key: str, *,
                        truncate: bool = True) -> List["_Candidate"]:
         """Possible offending operations with truncation cut points.
 
         Candidates are ordered by operation name (the
-        :meth:`FingerprintLibrary.ops_containing` contract).  Under
-        ``indexed_selection`` the list is hydrated from the compiled
-        index's postings; otherwise every containing fingerprint is
-        prepared from scratch.  Both paths produce identical lists —
-        ``repro.analysis.compile.verify_selection`` is the oracle.
+        :meth:`FingerprintLibrary.ops_containing` contract) and
+        memoized per ``(api_key, truncate)``.
         """
         cache_key = (api_key, truncate)
         cached = self._candidate_cache.get(cache_key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._prepare_candidates(
+                self.symbols.symbol(api_key), truncate
+            )
+            self._candidate_cache[cache_key] = cached
+        return cached
 
-        symbol = self.symbols.symbol(api_key)
-        index = (
-            self._compiled_index() if self.config.indexed_selection
-            else None
-        )
-        if index is not None:
-            prepared = self._hydrate_candidates(index, symbol, truncate)
-        else:
-            prepared = self._scan_candidates(symbol, truncate)
-        self._candidate_cache[cache_key] = prepared
-        return prepared
-
-    def _scan_candidates(self, symbol: str,
-                         truncate: bool) -> List["_Candidate"]:
-        """Full-scan candidate preparation (the reference path)."""
-        truncate_here = truncate and self.config.truncate_fingerprints
-        relaxed = self.config.relaxed_match
-        prepared: List[_Candidate] = []
-        for fingerprint in self.library.ops_containing(symbol):
-            self.postings_scanned += 1
-            prepared.append(prepare_candidate(
-                fingerprint, self._effective(fingerprint), symbol,
-                truncate=truncate_here, relaxed=relaxed,
-            ))
-        return prepared
-
-    def _hydrate_candidates(self, index: "CompiledIndex", symbol: str,
+    def _prepare_candidates(self, symbol: str,
                             truncate: bool) -> List["_Candidate"]:
         """Postings lookup + prepared-candidate hydration.
 
@@ -466,9 +415,13 @@ class OperationDetector:
         one index — e.g. all shards of a sharded analyzer — shares the
         same read-only candidate objects, so hydration is paid once
         per ``(symbol, truncation)`` per artifact, not per detector.
+        ``repro.oracle`` overrides this hook with the reference full
+        scan; ``verify_selection`` holds the two identical.
         """
         use_truncated = truncate and self.config.truncate_fingerprints
-        prepared = index.hydrated(symbol, use_truncated, self.library)
+        prepared = self._index().hydrated(
+            symbol, use_truncated, self.library
+        )
         self.postings_scanned += len(prepared)
         self.candidates_indexed += len(prepared)
         return prepared
@@ -496,41 +449,6 @@ class OperationDetector:
             self._fragment_cache[event.api_key] = fragment
         return fragment
 
-    def _encode_events(self, events: Sequence[WireEvent],
-                       correlation_id: str = "") -> str:
-        """Snapshot window → symbol string (noise always excluded;
-        RPCs excluded under pruning).
-
-        With ``correlation_id`` set (the §5.3.1 future-work mode), only
-        messages carrying the offending message's correlation header
-        are matched — "reducing the number of packets against which a
-        fingerprint is matched".
-        """
-        fragment = self._fragment
-        if not correlation_id:
-            return "".join(map(fragment, events))
-        parts = []
-        for event in events:
-            piece = fragment(event)
-            if piece and event.request_id == correlation_id:
-                parts.append(piece)
-        return "".join(parts)
-
-    def _buffer_symbols(self, snapshot: Snapshot, lo: int, hi: int,
-                        correlation_id: str) -> str:
-        """Symbol string for ``snapshot.events[lo:hi]``.
-
-        Snapshots frozen by an encoding window (the sharded analyzer's
-        batched path) carry one pre-encoded fragment per event, so a
-        buffer is a join of a slice; correlation filtering depends on
-        the fault's request id, which the pre-encoding cannot bake in,
-        so that mode falls back to per-event encoding.
-        """
-        encoded = snapshot.encoded
-        if encoded is not None and not correlation_id:
-            return "".join(encoded[lo:hi])
-        return self._encode_events(snapshot.events[lo:hi], correlation_id)
-
     def _session_fragments(self, snapshot: Snapshot,
                            correlation_id: str) -> Sequence[str]:
         """Per-event fragments for one incremental scoring session.
@@ -557,41 +475,23 @@ class OperationDetector:
 
     # -- scoring --------------------------------------------------------------------
 
-    def _score(self, candidates: List[_Candidate],
-               buffer_symbols: str,
-               finalized: Optional[Dict[int, Tuple[int, float]]] = None,
-               ) -> Dict[int, Tuple[int, float]]:
-        """(corroborated length, coverage) per gated candidate index.
+    def _scorer(self, snapshot: Snapshot, candidates: List[_Candidate],
+                correlation_id: str) -> ScoreFn:
+        """The per-snapshot scorer Algorithm 2's loop calls per window.
 
-        The *reference* scorer: from-scratch over the joined window
-        string.  ``MatchSession.score`` replays these decisions
-        incrementally and must stay bit-identical —
-        ``repro.core.matching.oracle.verify_detection`` is the
-        differential gate between the two.
-
-        ``finalized`` carries scores already at full coverage from a
-        smaller buffer: coverage is monotone in buffer growth, so they
-        need no re-evaluation.
+        An incremental :class:`~repro.core.matching.MatchSession`
+        (``docs/matching.md``): per-candidate bit-rows stay alive
+        across β growth, so each iteration costs O(δ) instead of
+        O(β).  ``repro.oracle`` overrides this hook with the
+        from-scratch reference scorer; ``verify_detection`` holds the
+        two bit-identical.
         """
-        threshold = self.config.match_coverage
-        buffer_counts = Counter(buffer_symbols)
-        scores: Dict[int, Tuple[int, float]] = {}
-        strict = not self.config.relaxed_match
-        for index, candidate in enumerate(candidates):
-            if finalized and index in finalized:
-                scores[index] = finalized[index]
-                continue
-            required = 0.999 if (candidate.pure_read or strict) else threshold
-            if candidate.upper_bound(buffer_counts) < required:
-                continue
-            length, coverage = candidate.score(buffer_symbols)
-            if coverage >= required:
-                scores[index] = (length, coverage)
-                if (coverage >= 0.999
-                        and length >= candidate.final_length
-                        and finalized is not None):
-                    finalized[index] = (length, coverage)
-        return scores
+        return self.matching.session(
+            self._session_fragments(snapshot, correlation_id),
+            candidates,
+            threshold=self.config.match_coverage,
+            strict=not self.config.relaxed_match,
+        ).score
 
     def _rank(self, candidates: List[_Candidate],
               scores: Dict[int, Tuple[int, float]]) -> List[int]:
@@ -632,26 +532,7 @@ class OperationDetector:
         correlation_id = (
             snapshot.fault.request_id if config.use_correlation_ids else ""
         )
-        session: Optional[MatchSession] = None
-        if config.incremental_match:
-            session = self.matching.session(
-                self._session_fragments(snapshot, correlation_id),
-                candidates,
-                threshold=config.match_coverage,
-                strict=not config.relaxed_match,
-            )
-
-        def run_scores(
-            lo: int, hi: int,
-            finalized: Optional[Dict[int, Tuple[int, float]]] = None,
-        ) -> Dict[int, Tuple[int, float]]:
-            if session is not None:
-                return session.score(lo, hi, finalized)
-            return self._score(
-                candidates,
-                self._buffer_symbols(snapshot, lo, hi, correlation_id),
-                finalized,
-            )
+        run_scores = self._scorer(snapshot, candidates, correlation_id)
 
         alpha = max(len(snapshot.events), 2)
         if not config.adaptive_context or performance_fault:

@@ -3,11 +3,10 @@
 REST latencies are computed by pairing request and response on TCP
 connection metadata; RPC latencies pair on the oslo message id (§5.3).
 Our wire events already carry both timestamps, so the tracker consumes
-the observed latency directly and feeds one level-shift detector per
-API identity — the incremental ``repro.core.streamstats`` engine by
-default, the reference :class:`~repro.core.outliers.LevelShiftDetector`
-when ``GretelConfig.incremental_ls`` is off (the two are held
-bit-identical by ``repro.core.streamstats.verify_levelshift``).
+the observed latency directly and feeds one incremental
+``repro.core.streamstats`` level-shift detector per API identity
+(held bit-identical to the reference detector by
+``repro.oracle.verify_levelshift``).
 
 In the composable pipeline this tracker is the state behind
 :class:`repro.core.pipeline.stages.LatencyStage`; anomalies it emits
@@ -23,9 +22,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.outliers import LevelShift
-from repro.core.state import StateFormatError, parse_fmt, require_state
+from repro.core.state import require_state
 from repro.core.streamstats.detector import (
-    LsDetector,
+    IncrementalLevelShiftDetector,
     detector_from_config,
 )
 
@@ -72,7 +71,7 @@ class LatencyTracker:
 
     def __init__(self, config: Optional[GretelConfig] = None):
         self.config = config or GretelConfig()
-        self._detectors: Dict[str, LsDetector] = {}
+        self._detectors: Dict[str, IncrementalLevelShiftDetector] = {}
         self._samples_fed = 0
         self.anomalies: List[PerformanceAnomaly] = []
         self._listeners: List[Callable[[PerformanceAnomaly], None]] = []
@@ -81,13 +80,18 @@ class LatencyTracker:
         """Register a performance-fault consumer."""
         self._listeners.append(callback)
 
-    def detector_for(self, api_key: str) -> LsDetector:
+    def detector_for(self, api_key: str) -> IncrementalLevelShiftDetector:
         """The (lazily created) detector for one API identity."""
         detector = self._detectors.get(api_key)
         if detector is None:
-            detector = detector_from_config(self.config)
+            detector = self._new_detector()
             self._detectors[api_key] = detector
         return detector
+
+    def _new_detector(self) -> IncrementalLevelShiftDetector:
+        """One fresh per-series detector (``repro.oracle`` overrides
+        this hook with the reference LS)."""
+        return detector_from_config(self.config)
 
     def _emit(
         self, api_key: str, shift: LevelShift, event: WireEvent
@@ -201,27 +205,14 @@ class LatencyTracker:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a fresh tracker with the same config.
 
-        Each serialized series carries its own fmt tag, which picks
-        the detector implementation — so a checkpoint taken under
-        ``incremental_ls`` restores incremental detectors regardless
-        of this tracker's default, keeping replay bit-identical.
+        Every series must be an incremental-detector state; anything
+        else (a missing, foreign or retired fmt tag) raises
+        :class:`~repro.core.state.StateFormatError`.
         """
         require_state(state, self.STATE_FMT)
         self._detectors.clear()
         for api_key, detector_state in state["detectors"].items():
-            layer, _ = parse_fmt(detector_state.get("fmt"))
-            if layer == "ls-incremental":
-                incremental = True
-            elif layer == "ls-reference":
-                incremental = False
-            else:
-                raise StateFormatError(
-                    f"unknown LS detector state fmt for {api_key!r}: "
-                    f"{detector_state.get('fmt')!r}"
-                )
-            detector = detector_from_config(
-                self.config, incremental=incremental
-            )
+            detector = detector_from_config(self.config)
             detector.restore_state(detector_state)
             self._detectors[api_key] = detector
         self._samples_fed = state["samples_fed"]

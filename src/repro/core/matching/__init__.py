@@ -3,9 +3,9 @@
 See ``docs/matching.md``.  The engine (``engine``) keeps per-candidate
 bit-parallel rows alive across context-buffer growth iterations; the
 indexes (``index``) replace the per-candidate foreign-symbol regex
-strip with per-snapshot symbol/position lookups; the oracle
-(``oracle``) proves the engine's results bit-identical to the
-reference ``OperationDetector._score`` path.
+strip with per-snapshot symbol/position lookups.
+``repro.oracle.verify_detection`` proves the engine's results
+bit-identical to the from-scratch reference scorer.
 """
 
 from repro.core.matching.engine import (
@@ -16,23 +16,13 @@ from repro.core.matching.engine import (
     select_cut,
 )
 from repro.core.matching.index import SnapshotIndex, WindowCounts
-from repro.core.matching.oracle import (
-    DetectionEquivalence,
-    ScoringDivergence,
-    detection_signature,
-    verify_detection,
-)
 
 __all__ = [
-    "DetectionEquivalence",
     "MatchSession",
     "MatchingEngine",
     "MatchingStats",
     "ScoringCandidate",
-    "ScoringDivergence",
     "SnapshotIndex",
     "WindowCounts",
-    "detection_signature",
     "select_cut",
-    "verify_detection",
 ]

@@ -1,8 +1,8 @@
-"""Online level-shift (LS) outlier detection.
+"""Online level-shift (LS) outlier detection: shared types.
 
 The paper plugs the R ``tsoutliers`` package's LS mode into GRETEL to
 detect sustained shifts in API-latency and resource time series (§6).
-LS semantics, which this online implementation preserves:
+LS semantics:
 
 * maintain an adaptive baseline of the series;
 * alarm when the series *shifts* to a new level (a sustained jump
@@ -11,29 +11,18 @@ LS semantics, which this online implementation preserves:
   re-reported ("the adaptive nature of LS raises alarms only when
   there is a sudden spike"; smaller subsequent variation is ignored).
 
-The detector keeps a rolling window, estimates a robust baseline
-(median + MAD), and confirms a shift after ``confirm`` consecutive
-points beyond ``sigmas`` robust deviations (and an absolute floor
-``min_delta``).  Every sample pays three O(w·log w) sorts inside
-``threshold()``; this module is the *reference* half of the LS
-differential oracle — the production path is the amortized-O(log w)
-``repro.core.streamstats`` engine, which
-``repro.core.streamstats.verify_levelshift`` holds to bit-identical
-alarms, baselines and thresholds against this implementation.
+The production detector is the amortized-O(log w)
+:class:`~repro.core.streamstats.IncrementalLevelShiftDetector`; its
+from-scratch reference lives with the oracle that holds the two
+bit-identical (``repro.oracle``).  This module keeps what both share
+— the :class:`LevelShift` alarm record and the median — plus the
+static-threshold ablation baseline.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Deque, Dict, List, Mapping, Optional
-
-from repro.core.state import (
-    StateError,
-    decode_ts,
-    encode_ts,
-    require_state,
-)
+from typing import Any, Dict, List, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -62,183 +51,6 @@ def _median(values: List[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-#: Construction parameters shared by both halves of the LS pair; a
-#: checkpoint taken under one parameterization must not silently
-#: rehydrate a detector tuned differently.
-LS_PARAM_FIELDS = (
-    "window", "sigmas", "min_delta", "rel_delta", "confirm",
-    "warmup", "cooldown",
-)
-
-
-def ls_params(detector: Any) -> Dict[str, Any]:
-    """The LS tuning knobs of either detector implementation."""
-    return {name: getattr(detector, name) for name in LS_PARAM_FIELDS}
-
-
-def check_ls_params(detector: Any, state: Mapping[str, Any]) -> None:
-    """Raise :class:`StateError` on a tuning mismatch."""
-    params = state["params"]
-    for name in LS_PARAM_FIELDS:
-        if params[name] != getattr(detector, name):
-            raise StateError(
-                f"LS state has {name}={params[name]!r}, this detector "
-                f"has {name}={getattr(detector, name)!r}"
-            )
-
-
-class LevelShiftDetector:
-    """Online LS detector for one time series."""
-
-    def __init__(
-        self,
-        window: int = 24,
-        sigmas: float = 4.0,
-        min_delta: float = 0.004,
-        confirm: int = 3,
-        warmup: int = 12,
-        rel_delta: float = 0.5,
-        cooldown: float = 10.0,
-    ):
-        if window < 4:
-            raise ValueError("window must be at least 4")
-        if confirm < 1:
-            raise ValueError("confirm must be at least 1")
-        self.window = window
-        self.sigmas = sigmas
-        self.min_delta = min_delta
-        #: Minimum shift as a fraction of the baseline: a *level shift*
-        #: is a jump to a new regime, not jitter around the old one.
-        self.rel_delta = rel_delta
-        self.confirm = confirm
-        self.warmup = max(warmup, confirm + 1)
-        #: Quiet period after an alarm (seconds of series time): the
-        #: transition into/out of a new level is volatile, and one
-        #: level shift should raise one alarm, not a storm (the paper's
-        #: LS "does not report many false alarms").
-        self.cooldown = cooldown
-        self._cooldown_until = float("-inf")
-        self._baseline: Deque[float] = deque(maxlen=window)
-        self._pending: List[tuple] = []   # (ts, value) candidates
-        self._count = 0
-        self.alarms: List[LevelShift] = []
-        #: Perf counter: every ``threshold()`` call re-derives the
-        #: (median, MAD, threshold) triple from scratch here; the
-        #: incremental engine only recomputes on window mutation.
-        self.threshold_recomputes = 0
-
-    # -- state ------------------------------------------------------------
-
-    @property
-    def baseline(self) -> float:
-        """Current robust baseline (median of the window)."""
-        if not self._baseline:
-            return 0.0
-        return _median(list(self._baseline))
-
-    @property
-    def spread(self) -> float:
-        """Robust spread: MAD scaled to sigma-equivalent, floored."""
-        values = list(self._baseline)
-        if len(values) < 4:
-            return float("inf")
-        med = _median(values)
-        mad = _median([abs(v - med) for v in values])
-        return max(1.4826 * mad, 1e-12)
-
-    def threshold(self) -> float:
-        """Current alarm threshold above the baseline."""
-        self.threshold_recomputes += 1
-        baseline = self.baseline
-        return baseline + max(
-            self.sigmas * self.spread,
-            self.min_delta,
-            self.rel_delta * baseline,
-        )
-
-    # -- feeding -------------------------------------------------------------
-
-    def update(self, ts: float, value: float) -> Optional[LevelShift]:
-        """Feed one sample; returns a :class:`LevelShift` when confirmed."""
-        self._count += 1
-        if self._count <= self.warmup or len(self._baseline) < 4:
-            self._baseline.append(value)
-            return None
-        if ts < self._cooldown_until:
-            self._baseline.append(value)
-            return None
-
-        if value > self.threshold():
-            self._pending.append((ts, value))
-            if len(self._pending) >= self.confirm:
-                shift = LevelShift(
-                    ts=self._pending[0][0],
-                    observed=_median([v for _, v in self._pending]),
-                    baseline=self.baseline,
-                    magnitude=_median([v for _, v in self._pending]) - self.baseline,
-                    index=self._count,
-                )
-                self.alarms.append(shift)
-                # Adapt: the series has moved to a new level — re-seed
-                # the baseline on it (tsoutliers' LS adjustment), so
-                # the same shift is reported exactly once.
-                self._baseline.clear()
-                for _, pending_value in self._pending:
-                    self._baseline.append(pending_value)
-                self._pending.clear()
-                self._cooldown_until = ts + self.cooldown
-                return shift
-            return None
-
-        # A below-threshold sample breaks any pending shift (isolated
-        # spikes never alarm — LS wants sustained level changes).
-        if self._pending:
-            for pending_ts, pending_value in self._pending:
-                self._baseline.append(pending_value)
-            self._pending.clear()
-        self._baseline.append(value)
-        return None
-
-    def reset(self) -> None:
-        """Forget all state (fresh series)."""
-        self._baseline.clear()
-        self._pending.clear()
-        self._count = 0
-        self._cooldown_until = float("-inf")
-        self.alarms.clear()
-
-    # -- state lifecycle (see repro.core.state) -------------------------
-
-    STATE_FMT = "ls-reference/v1"
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the detector."""
-        return {
-            "fmt": self.STATE_FMT,
-            "params": ls_params(self),
-            "baseline": list(self._baseline),
-            "pending": [list(pair) for pair in self._pending],
-            "count": self._count,
-            "cooldown_until": encode_ts(self._cooldown_until),
-            "alarms": [shift.to_dict() for shift in self.alarms],
-            "threshold_recomputes": self.threshold_recomputes,
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a fresh detector with the same tuning."""
-        require_state(state, self.STATE_FMT)
-        check_ls_params(self, state)
-        self._baseline.clear()
-        self._baseline.extend(state["baseline"])
-        self._pending = [(ts, value) for ts, value in state["pending"]]
-        self._count = state["count"]
-        self._cooldown_until = decode_ts(state["cooldown_until"])
-        self.alarms = [
-            LevelShift.from_dict(shift) for shift in state["alarms"]
-        ]
-        self.threshold_recomputes = state["threshold_recomputes"]
 
 
 class StaticThresholdDetector:
@@ -280,7 +92,7 @@ class StaticThresholdDetector:
                     magnitude=_median([v for _, v in self._streak])
                     - self.threshold_value,
                     # The sample index at confirmation, matching
-                    # LevelShiftDetector (not the alarm count).
+                    # the LS detectors (not the alarm count).
                     index=self._count,
                 )
                 self.alarms.append(shift)

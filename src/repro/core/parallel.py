@@ -29,28 +29,26 @@ and nothing in the pipeline requires a total order across nodes.
   over the same stream produce byte-identical report streams
   regardless of shard count or chunking.
 
-Correctness is not argued, it is *checked*: :func:`verify_equivalence`
-replays a stream through the serial analyzer and a sharded one and
-compares canonical report signatures.  Partitioning is semantics
-preserving whenever fault contexts are partition-local (trivially so
-for single-source streams such as the Fig. 8c replay harness, and for
-any per-node capture deployment analyzed per agent); the oracle turns
-that property from an assumption into an assertion, and is wired into
-both the test suite and ``repro analyze --verify-shards``.  See
+Correctness is not argued, it is *checked*:
+:func:`repro.oracle.verify_equivalence` replays a stream through the
+serial analyzer and a sharded one and compares canonical report
+signatures.  Partitioning is semantics preserving whenever fault
+contexts are partition-local (trivially so for single-source streams
+such as the Fig. 8c replay harness, and for any per-node capture
+deployment analyzed per agent); the oracle turns that property from
+an assumption into an assertion, and is wired into both the test
+suite and ``repro analyze --verify shards``.  See
 ``docs/parallelism.md`` and ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
-from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.pipeline.builder import PipelineBuilder
@@ -81,11 +79,6 @@ class ShardWorkerError(RuntimeError):
     stopped or terminated), so the analyzer is safe to abandon.
     """
 
-#: Report signature: (kind, fault seq, matched operations, θ, causes).
-ReportSignature = Tuple[str, int, Tuple[str, ...], float,
-                        Tuple[Tuple[str, str, str], ...]]
-
-
 def source_node_key(event: WireEvent) -> str:
     """The default partition key: the capturing agent's node (§5.2)."""
     return event.src_node
@@ -101,25 +94,6 @@ def report_order_key(report: FaultReport) -> Tuple[int, int, float]:
     return (report.fault_event.seq,
             0 if report.kind == "operational" else 1,
             report.ts)
-
-
-def report_signature(report: FaultReport) -> ReportSignature:
-    """Order-independent identity of one report, for set comparison.
-
-    Captures everything an operator acts on — fault kind and wire
-    event, the matched operation set, the detection precision θ and
-    the root-cause findings — while ignoring wall-clock measurement
-    fields (``analysis_seconds``) that legitimately differ between
-    runs.
-    """
-    return (
-        report.kind,
-        report.fault_event.seq,
-        tuple(report.detection.operations),
-        round(report.detection.theta, 12),
-        tuple(sorted((c.node, c.kind, c.subject)
-                     for c in report.root_causes)),
-    )
 
 
 class AnalyzerShard(PipelineAnalyzer):
@@ -545,129 +519,3 @@ class ShardedAnalyzer:
         raise AttributeError(
             f"{type(self).__name__!s} has no attribute {name!r}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Differential-correctness oracle
-# ---------------------------------------------------------------------------
-
-class ShardDivergence(AssertionError):
-    """The sharded analyzer's reports diverged from the serial ones."""
-
-
-@dataclass
-class EquivalenceResult:
-    """Outcome of one serial-vs-sharded differential replay."""
-
-    shards: int
-    events: int
-    serial_reports: int
-    sharded_reports: int
-    #: Signatures present serially but absent (or fewer) sharded.
-    missing: List[ReportSignature] = field(default_factory=list)
-    #: Signatures produced sharded but not (or more often) serially.
-    extra: List[ReportSignature] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the two report multisets are identical."""
-        return not self.missing and not self.extra
-
-    def summary(self) -> str:
-        """One operator-facing line (plus divergence details if any)."""
-        verdict = "EQUIVALENT" if self.ok else "DIVERGED"
-        lines = [
-            f"{verdict}: serial vs {self.shards}-shard on {self.events} "
-            f"events — {self.serial_reports} serial / "
-            f"{self.sharded_reports} sharded reports"
-        ]
-        for label, signatures in (("missing", self.missing),
-                                  ("extra", self.extra)):
-            for kind, seq, operations, precision, _ in signatures[:5]:
-                ops = ",".join(operations) or "<none>"
-                lines.append(
-                    f"  {label}: {kind} fault seq={seq} ops=[{ops}] "
-                    f"theta={precision:.4f}"
-                )
-            if len(signatures) > 5:
-                lines.append(f"  ... {len(signatures) - 5} more {label}")
-        return "\n".join(lines)
-
-
-def verify_equivalence(
-    events: Sequence[WireEvent],
-    library: FingerprintLibrary,
-    shards: int = 4,
-    *,
-    key: Callable[[WireEvent], str] = source_node_key,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    config: Optional[GretelConfig] = None,
-    catalog: Optional[ApiCatalog] = None,
-    store: Optional[MetadataStore] = None,
-    track_latency: bool = True,
-    defer_detection: bool = False,
-    strict: bool = True,
-    backend: str = "inline",
-) -> EquivalenceResult:
-    """Replay ``events`` serially and sharded; compare report sets.
-
-    Both analyzers run the same configuration, the stream is flushed,
-    and — when detection is deferred — both backlogs are drained.
-    By default each half gets a fresh (empty) metadata store; passing
-    ``store`` (e.g. the populated store of a captured live run) makes
-    both halves consult the same read-only metadata, so root-cause
-    findings are part of the comparison too.  Reports are compared as
-    multisets of :func:`report_signature`; with ``strict`` (the
-    default) any divergence raises :class:`ShardDivergence`, otherwise
-    the caller inspects :attr:`EquivalenceResult.ok`.
-
-    ``backend`` selects the sharded half's execution backend, so the
-    same oracle that proves partitioning semantics-preserving also
-    proves the process pool faithful: a worker that drops, duplicates
-    or corrupts a report diverges here.
-    """
-    events = list(events)
-    config = config or GretelConfig()
-
-    serial = GretelAnalyzer(
-        library, catalog=catalog, store=store or MetadataStore(),
-        config=config,
-        track_latency=track_latency, defer_detection=defer_detection,
-    )
-    serial.feed(events)
-    serial.flush()
-
-    sharded = ShardedAnalyzer(
-        library, shards, key=key, batch_size=batch_size, catalog=catalog,
-        store=store or MetadataStore(), config=config,
-        track_latency=track_latency,
-        defer_detection=defer_detection,
-        backend=backend,
-    )
-    try:
-        sharded.feed(events)
-        sharded.flush()
-
-        if defer_detection:
-            serial.process_deferred()
-            sharded.process_deferred()
-
-        serial_counts = Counter(
-            report_signature(r) for r in serial.reports
-        )
-        sharded_counts = Counter(
-            report_signature(r) for r in sharded.reports
-        )
-        result = EquivalenceResult(
-            shards=shards,
-            events=len(events),
-            serial_reports=len(serial.reports),
-            sharded_reports=len(sharded.reports),
-            missing=sorted((serial_counts - sharded_counts).elements()),
-            extra=sorted((sharded_counts - serial_counts).elements()),
-        )
-    finally:
-        sharded.close()
-    if strict and not result.ok:
-        raise ShardDivergence(result.summary())
-    return result

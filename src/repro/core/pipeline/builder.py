@@ -122,6 +122,20 @@ class PipelineBuilder:
 
     # -- wiring -----------------------------------------------------------
 
+    # Component seams: ``repro.oracle.ReferenceBuilder`` overrides
+    # these two to build pipelines on the reference halves.
+    def _detector(
+        self,
+        library: FingerprintLibrary,
+        symbols: SymbolTable,
+        catalog: ApiCatalog,
+        config: GretelConfig,
+    ) -> OperationDetector:
+        return OperationDetector(library, symbols, catalog, config)
+
+    def _tracker(self, config: GretelConfig) -> LatencyTracker:
+        return LatencyTracker(config)
+
     def _build(
         self,
         *,
@@ -164,10 +178,10 @@ class PipelineBuilder:
             faults=FaultScanStage(),
             windowing=WindowStage(window),
             latency=LatencyStage(
-                LatencyTracker(config), enabled=self._track_latency
+                self._tracker(config), enabled=self._track_latency
             ),
             detection=DetectionStage(
-                OperationDetector(library, symbols, catalog, config)
+                self._detector(library, symbols, catalog, config)
             ),
             rootcause=RootCauseStage(RootCauseEngine(store, config)),
             publish=publish,

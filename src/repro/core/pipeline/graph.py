@@ -170,7 +170,7 @@ class AnalysisPipeline:
         Collaborators (library, symbols, catalog, store) are
         construction-time inputs and are *not* serialized; the config
         rendering rides along purely as a rehydration guard.
-        ``repro.service.oracle.verify_checkpoint`` proves a restored
+        ``repro.oracle.verify_checkpoint`` proves a restored
         pipeline finishes the stream bit-identically.
         """
         return {
@@ -316,7 +316,7 @@ class AnalysisPipeline:
     def deferred_snapshots(self) -> List[Snapshot]:
         """Snapshots parked by ``defer_detection``, in freeze order
         (read-only view; :meth:`process_deferred` drains them).  The
-        differential oracles (`repro analyze --verify-selection`)
+        differential oracles (``repro analyze --verify selection``)
         replay these through paired detectors."""
         return list(self._deferred)
 

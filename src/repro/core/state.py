@@ -15,7 +15,7 @@ the assembled pipeline itself — exposes the same two methods:
     instance from such a dict.  Restoration is **bit-identical**: an
     analyzer frozen mid-stream and rehydrated produces exactly the
     reports, alarms and perf counters the uninterrupted run would —
-    ``repro.service.oracle.verify_checkpoint`` is the differential
+    ``repro.oracle.verify_checkpoint`` is the differential
     proof.
 
 Two deliberate exclusions keep checkpoints small and the protocol

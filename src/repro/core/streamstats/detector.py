@@ -1,6 +1,6 @@
 """Incremental level-shift detection: the streaming-robust-stats LS.
 
-Semantics are the reference :class:`repro.core.outliers.
+Semantics are the reference :class:`repro.oracle.reference.
 LevelShiftDetector`'s, *bit for bit* — warmup, cooldown, confirm
 streaks, the pending re-seed, alarm fields, everything — with the
 per-sample cost model replaced:
@@ -18,32 +18,49 @@ threshold                        recomputed per sample  cached per
 The (median, MAD, threshold) triple is cached against the
 :class:`~repro.core.streamstats.window.SortedWindow` version counter,
 so confirm streaks and repeated threshold reads between window
-mutations are free.  ``repro.core.streamstats.oracle.
-verify_levelshift`` replays both detectors over the same stream and
-raises on any alarm/baseline/threshold divergence — the same
-reference-half-of-a-differential-oracle pattern ``repro.core.
-matching`` uses for Algorithm 2 scoring.
+mutations are free.  ``repro.oracle.verify_levelshift`` replays both
+detectors over the same stream and raises on any
+alarm/baseline/threshold divergence — the same differential-oracle
+pattern that holds Algorithm 2 scoring to its reference.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import GretelConfig
-from repro.core.outliers import (
-    LevelShift,
-    LevelShiftDetector,
-    _median,
-    check_ls_params,
-    ls_params,
+from repro.core.outliers import LevelShift, _median
+from repro.core.state import (
+    StateError,
+    decode_ts,
+    encode_ts,
+    require_state,
 )
-from repro.core.state import decode_ts, encode_ts, require_state
 from repro.core.streamstats.window import SortedWindow
 
-#: Either half of the differential pair; both expose the same surface
-#: (``update`` / ``threshold`` / ``baseline`` / ``spread`` / ``alarms``
-#: / ``reset`` / ``threshold_recomputes``).
-LsDetector = Union[LevelShiftDetector, "IncrementalLevelShiftDetector"]
+#: Construction parameters a checkpoint carries: a state taken under
+#: one parameterization must not silently rehydrate a detector tuned
+#: differently.
+LS_PARAM_FIELDS = (
+    "window", "sigmas", "min_delta", "rel_delta", "confirm",
+    "warmup", "cooldown",
+)
+
+
+def ls_params(detector: Any) -> Dict[str, Any]:
+    """The LS tuning knobs of a detector."""
+    return {name: getattr(detector, name) for name in LS_PARAM_FIELDS}
+
+
+def check_ls_params(detector: Any, state: Mapping[str, Any]) -> None:
+    """Raise :class:`StateError` on a tuning mismatch."""
+    params = state["params"]
+    for name in LS_PARAM_FIELDS:
+        if params[name] != getattr(detector, name):
+            raise StateError(
+                f"LS state has {name}={params[name]!r}, this detector "
+                f"has {name}={getattr(detector, name)!r}"
+            )
 
 
 class IncrementalLevelShiftDetector:
@@ -257,21 +274,10 @@ class IncrementalLevelShiftDetector:
 
 
 def detector_from_config(
-    config: GretelConfig, *, incremental: Optional[bool] = None
-) -> LsDetector:
-    """One per-series LS detector wired from ``config``'s ls_* knobs.
-
-    ``incremental`` overrides ``config.incremental_ls`` (the oracle
-    builds both halves of the differential pair from one config).
-    """
-    use_incremental = (
-        config.incremental_ls if incremental is None else incremental
-    )
-    cls = (
-        IncrementalLevelShiftDetector if use_incremental
-        else LevelShiftDetector
-    )
-    return cls(
+    config: GretelConfig,
+) -> IncrementalLevelShiftDetector:
+    """One per-series LS detector wired from ``config``'s ls_* knobs."""
+    return IncrementalLevelShiftDetector(
         window=config.ls_window,
         sigmas=config.ls_sigmas,
         min_delta=config.ls_min_delta,

@@ -1,6 +1,6 @@
 """Sorted rolling window: the order statistics behind streaming LS.
 
-The reference :class:`~repro.core.outliers.LevelShiftDetector` keeps
+The reference :class:`~repro.oracle.reference.LevelShiftDetector` keeps
 its baseline in a ``deque`` and re-sorts it three times per sample —
 once for the median and twice inside the MAD — giving O(w·log w) per
 latency observation.  :class:`SortedWindow` keeps the same FIFO window

@@ -9,37 +9,25 @@ thread (the async ingest router), durable periodic checkpoints
 (:mod:`repro.service.checkpoint`) built on the core state-lifecycle
 protocol (:mod:`repro.core.state`), a service manager that keys
 sessions by tenant and restores them on start
-(:mod:`repro.service.manager`), and two differential oracles: one
-proving checkpoint/kill/restore changes nothing
-(:mod:`repro.service.oracle`), one proving the pump router is
-observably the sync router (:mod:`repro.service.async_oracle`).
-``repro serve`` drives it all over replayed captures; see
-``docs/service.md``.
+(:mod:`repro.service.manager`).  Two differential oracles in
+:mod:`repro.oracle` prove checkpoint/kill/restore changes nothing
+(``verify_checkpoint``) and the pump router is observably the sync
+router (``verify_async``).  ``repro serve`` drives it all over
+replayed captures; see ``docs/service.md``.
 """
 
-from repro.service.async_oracle import (
-    AsyncDivergence,
-    AsyncResult,
-    verify_async,
-)
 from repro.service.checkpoint import CheckpointStore
-from repro.service.manager import ServiceStats, StreamingService
-from repro.service.oracle import (
-    CheckpointDivergence,
-    CheckpointResult,
-    verify_checkpoint,
+from repro.service.manager import (
+    ServiceStats,
+    StreamingService,
+    bucket_tenant,
 )
 from repro.service.session import TenantSession
 
 __all__ = [
-    "AsyncDivergence",
-    "AsyncResult",
-    "CheckpointDivergence",
-    "CheckpointResult",
     "CheckpointStore",
     "ServiceStats",
     "StreamingService",
     "TenantSession",
-    "verify_async",
-    "verify_checkpoint",
+    "bucket_tenant",
 ]

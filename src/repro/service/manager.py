@@ -53,6 +53,15 @@ from repro.service.session import (
 DEFAULT_TENANT = "default"
 
 
+def bucket_tenant(tenant: str, buckets: int) -> str:
+    """Deterministically re-key a raw tenant id into ``buckets``
+    service sessions (id-stable; replay tools re-bucket streams this
+    way — the ``repro serve`` CLI uses the same function)."""
+    raw = tenant.rsplit("-", 1)[-1]
+    index = int(raw) if raw.isdigit() else 0
+    return f"tenant-{index % buckets}"
+
+
 @dataclass
 class ServiceStats:
     """Aggregated counters across every live session.

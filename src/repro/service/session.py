@@ -24,8 +24,7 @@ The session runs in one of two router modes (``docs/service.md``):
   C-level increment, no lock acquired on the reject path).  Because
   each tenant keeps exactly one consumer thread, per-tenant event
   order — and therefore the per-tenant report multiset — is exactly
-  the sync router's (:func:`repro.service.async_oracle.verify_async`
-  asserts it).
+  the sync router's (:func:`repro.oracle.verify_async` asserts it).
 
 Pump-mode control protocol (every verb serialized by a per-session
 state lock): :meth:`pause` parks the pump at an event boundary — no

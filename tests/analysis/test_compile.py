@@ -7,19 +7,22 @@ import pytest
 from repro.analysis.compile import (
     FORMAT_VERSION,
     CompiledIndex,
-    SelectionDivergence,
-    candidate_signature,
     compile_library,
     compiled_index_for,
     library_hash,
     selection_flags,
     symbol_table_hash,
-    verify_selection,
     _min_feasible_overlap,
 )
 from repro.core.config import GretelConfig
 from repro.core.detector import OperationDetector
 from repro.core.fingerprint import FingerprintLibrary
+from repro.oracle import (
+    Divergence,
+    ReferenceDetector,
+    candidate_signature,
+    verify_selection,
+)
 
 
 @pytest.fixture()
@@ -108,6 +111,19 @@ def test_serves_requires_matching_selection_flags(library):
     assert not index.serves(flipped)
 
 
+def test_detector_refuses_an_index_for_other_flags(library, catalog):
+    """Serving preparations compiled under other selection flags
+    would change diagnoses, so construction fails loudly."""
+    index = compile_library(library, config=GretelConfig())
+    flipped = GretelConfig(prune_rpcs=False)
+    with pytest.raises(ValueError, match="selection flags"):
+        OperationDetector(library, library.symbols, catalog, flipped,
+                          compiled_index=index)
+    # The same index serves a detector whose config it was built for.
+    OperationDetector(library, library.symbols, catalog, GretelConfig(),
+                      compiled_index=index)
+
+
 def test_memoized_compile_tracks_library_version(
     library, make_fingerprint, state_change_keys
 ):
@@ -165,17 +181,29 @@ def test_verify_selection_passes_on_a_fresh_index(library):
     assert "EQUIVALENT" in result.summary()
 
 
-def test_corrupted_postings_raise_selection_divergence(library):
+def test_corrupted_postings_raise_selection_divergence(library, catalog):
     index = compile_library(library)
     payload = index.to_dict()
     victim = sorted(payload["postings"])[0]
     del payload["postings"][victim]
     corrupted = CompiledIndex.from_dict(payload)
-    with pytest.raises(SelectionDivergence, match="DIVERGED"):
+    with pytest.raises(Divergence, match="DIVERGED") as excinfo:
         verify_selection(library, index=corrupted)
+    # Only the victim symbol's candidates vanish; the oracle names
+    # its full-scan list against the empty indexed one.
+    victim_key = library.symbols.api_key(chr(int(victim, 16)))
+    reference = ReferenceDetector(library, library.symbols, catalog)
+    assert excinfo.value.oracle == "selection"
+    assert excinfo.value.first == (
+        tuple(candidate_signature(c)
+              for c in reference.candidates_for(victim_key)),
+        (),
+    )
     result = verify_selection(library, index=corrupted, strict=False)
     assert not result.ok
-    assert any("multisets differ" in m for m in result.mismatches)
+    assert {m.key for m in result.mismatches} == {
+        (victim_key, True), (victim_key, False),
+    }
 
 
 def test_candidate_signature_captures_preparation_content(

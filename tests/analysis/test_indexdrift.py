@@ -76,7 +76,7 @@ def test_flag_mismatch_is_idx004_warning(
     findings = indexdrift.run(make_context(fps, compiled_index=index))
     assert _rules(findings) == ["IDX004"]
     assert findings[0].severity.name == "WARNING"
-    assert "full scan" in findings[0].message
+    assert "refuse" in findings[0].message
 
 
 def test_foreign_format_version_is_idx005(

@@ -2,12 +2,15 @@
 
 from collections import Counter
 
+import pytest
+
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.latency import LatencyTracker
-from repro.core.outliers import LevelShiftDetector
+from repro.core.state import StateFormatError
 from repro.core.streamstats import IncrementalLevelShiftDetector
+from repro.oracle import LevelShiftDetector, ReferenceTracker
 
 
 def make_event(seq, api_key, latency, ts=None, status=200, noise=False):
@@ -63,12 +66,26 @@ def test_anomaly_carries_triggering_event():
 
 
 def test_incremental_engine_selected_by_config():
-    on = LatencyTracker(GretelConfig(incremental_ls=True))
-    off = LatencyTracker(GretelConfig(incremental_ls=False))
-    assert isinstance(
-        on.detector_for("a"), IncrementalLevelShiftDetector
-    )
-    assert isinstance(off.detector_for("a"), LevelShiftDetector)
+    """Production trackers always run the incremental engine; the
+    oracle-side tracker feeds the reference detector."""
+    config = GretelConfig(ls_window=16)
+    production = LatencyTracker(config).detector_for("a")
+    assert isinstance(production, IncrementalLevelShiftDetector)
+    assert production.window == 16
+    reference = ReferenceTracker(config).detector_for("a")
+    assert isinstance(reference, LevelShiftDetector)
+    assert reference.window == 16
+
+
+def test_restore_refuses_reference_series_state():
+    """A checkpointed series from the retired reference detector
+    (``ls-reference/v1``) fails loudly instead of restoring."""
+    tracker = LatencyTracker()
+    tracker.observe(make_event(1, "a", 0.01))
+    state = tracker.snapshot_state()
+    state["detectors"]["a"]["fmt"] = "ls-reference/v1"
+    with pytest.raises(StateFormatError, match="ls-reference"):
+        LatencyTracker().restore_state(state)
 
 
 def shift_stream(apis=3, steady=50, shifted=25):
@@ -97,15 +114,12 @@ def test_batch_equals_serial_anomalies():
     ]
     stream = events[:30] + gated + events[30:]
 
-    for config in (
-        GretelConfig(incremental_ls=True),
-        GretelConfig(incremental_ls=False),
-    ):
-        serial = LatencyTracker(config)
+    for tracker_type in (LatencyTracker, ReferenceTracker):
+        serial = tracker_type()
         for event in stream:
             if not event.noise and not event.error:
                 serial.observe(event)
-        batched = LatencyTracker(config)
+        batched = tracker_type()
         observed = 0
         for start in range(0, len(stream), 17):
             observed += batched.observe_batch(stream[start:start + 17])
@@ -136,13 +150,12 @@ def test_batch_gate_skips_noise_and_errors():
 
 
 def test_threshold_recompute_counter_aggregates_series():
-    config = GretelConfig(incremental_ls=True)
-    tracker = LatencyTracker(config)
+    tracker = LatencyTracker()
     tracker.observe_batch(shift_stream(apis=2))
     incremental_recomputes = tracker.ls_threshold_recomputes
     assert 0 < incremental_recomputes
 
-    reference = LatencyTracker(GretelConfig(incremental_ls=False))
+    reference = ReferenceTracker()
     reference.observe_batch(shift_stream(apis=2))
     # The incremental cache recomputes at most once per window
     # mutation; the reference recomputes on every threshold() call.

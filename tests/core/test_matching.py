@@ -14,14 +14,18 @@ from repro.core.fingerprint import (
 from repro.core.matching import (
     MatchSession,
     MatchingStats,
-    ScoringDivergence,
     SnapshotIndex,
     WindowCounts,
     select_cut,
-    verify_detection,
 )
 from repro.core.symbols import SymbolTable
 from repro.core.window import Snapshot
+from repro.oracle import (
+    Divergence,
+    ReferenceDetector,
+    detection_signature,
+    verify_detection,
+)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +232,7 @@ def snapshot_windows(snapshot, config):
 
 def test_session_matches_reference_scorer(library, symbols, catalog):
     detector = make_detector(library, symbols, catalog)
+    reference = ReferenceDetector(library, symbols, catalog)
     snapshot = make_snapshot(
         catalog,
         [KEYPAIR, LIST_IMAGES, IMAGE, VOLUME, UPLOAD, LIST_IMAGES, BOOT,
@@ -243,14 +248,11 @@ def test_session_matches_reference_scorer(library, symbols, catalog):
     )
     finalized_ref = {}
     finalized_inc = {}
+    score_reference = reference._scorer(snapshot, candidates, "")
     for lo, hi in snapshot_windows(snapshot, detector.config):
-        reference = detector._score(
-            candidates,
-            detector._buffer_symbols(snapshot, lo, hi, ""),
-            finalized_ref,
-        )
+        expected = score_reference(lo, hi, finalized_ref)
         incremental = session.score(lo, hi, finalized_inc)
-        assert incremental == reference
+        assert incremental == expected
         assert finalized_inc == finalized_ref
 
 
@@ -277,14 +279,10 @@ def test_session_rescore_uses_cache(library, symbols, catalog):
 
 def test_config_flag_switches_engine_without_changing_results(
         library, symbols, catalog):
-    from repro.core.matching import detection_signature
-
-    reference = make_detector(
-        library, symbols, catalog, incremental_match=False,
-    )
-    incremental = make_detector(
-        library, symbols, catalog, incremental_match=True,
-    )
+    """The reference detector (oracle-side) and the production one
+    diagnose identically; only the production one runs the engine."""
+    reference = ReferenceDetector(library, symbols, catalog)
+    incremental = make_detector(library, symbols, catalog)
     snapshot = make_snapshot(
         catalog, [KEYPAIR, IMAGE, VOLUME, UPLOAD, BOOT, PORT, POLL], POLL,
     )
@@ -322,7 +320,7 @@ def oracle_snapshots(catalog):
 def test_verify_detection_equivalent(library, catalog, oracle_snapshots):
     outcome = verify_detection(oracle_snapshots, library, catalog=catalog)
     assert outcome.ok
-    assert outcome.snapshots == len(oracle_snapshots)
+    assert outcome.facts["snapshots"] == len(oracle_snapshots)
     assert outcome.summary().startswith("EQUIVALENT")
 
 
@@ -333,9 +331,16 @@ def test_verify_detection_raises_on_divergence(
         MatchSession, "score",
         lambda self, lo, hi, finalized=None: {},
     )
-    with pytest.raises(ScoringDivergence) as excinfo:
+    with pytest.raises(Divergence) as excinfo:
         verify_detection(oracle_snapshots, library, catalog=catalog)
     assert "DIVERGED" in str(excinfo.value)
+    assert excinfo.value.oracle == "detection"
+    # A scorer that gates nothing loses the very first diagnosis.
+    reference = ReferenceDetector(library, library.symbols, catalog)
+    expected = detection_signature(reference.detect(oracle_snapshots[0]))
+    assert excinfo.value.first[0] == expected
+    assert excinfo.value.first[1][0] == expected[0]
+    assert excinfo.value.first[1][1] == ()
     outcome = verify_detection(
         oracle_snapshots, library, catalog=catalog, strict=False,
     )

@@ -1,7 +1,8 @@
 """Property tests: incremental scoring is equivalent to from-scratch.
 
 The engine's contract is *bit-identical* equivalence with
-``OperationDetector._score`` (see ``docs/matching.md``), so these
+the reference scorer ``ReferenceDetector._score`` (see
+``docs/matching.md``), so these
 properties randomize everything the adaptive loop varies — snapshot
 contents, fault position, β growth schedule, candidate needles, cut
 points and pure-read flags — and hold the two scorers to exact
@@ -13,8 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.detector import OperationDetector, _Candidate
-from repro.core.matching import verify_detection
+from repro.core.detector import _Candidate
+from repro.oracle import ReferenceDetector, verify_detection
 from repro.workloads.traffic import SyntheticStream
 
 ALPHABET = "ABCDE"
@@ -27,8 +28,9 @@ def library(small_character):
 
 @pytest.fixture(scope="module")
 def detector(library):
-    """Any detector works: ``_score`` reads only its config."""
-    return OperationDetector(
+    """Any reference detector works: ``_score`` reads only its
+    config."""
+    return ReferenceDetector(
         library, library.symbols, library.symbols.catalog,
     )
 
@@ -106,7 +108,7 @@ def test_session_equals_reference_without_finalization(
     profiles — the non-adaptive / performance-fault path."""
     fragments, fault, beta, delta, pool = case
     config = GretelConfig(relaxed_match=not strict)
-    reference_detector = OperationDetector(
+    reference_detector = ReferenceDetector(
         detector.library, detector.symbols, detector.catalog, config,
     )
     session = reference_detector.matching.session(

@@ -10,13 +10,11 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.latency import PerformanceAnomaly
 from repro.core.parallel import (
-    ShardDivergence,
     ShardedAnalyzer,
     report_order_key,
-    report_signature,
     source_node_key,
-    verify_equivalence,
 )
+from repro.oracle import Divergence, report_signature, verify_equivalence
 from repro.workloads.traffic import SyntheticStream
 
 
@@ -89,7 +87,7 @@ def test_equivalent_to_serial(library, shards, defer):
         batch_size=128, defer_detection=defer, strict=True,
     )
     assert result.ok
-    assert result.serial_reports == result.sharded_reports > 0
+    assert result.facts["serial_reports"] == result.facts["sharded_reports"] > 0
 
 
 def test_on_event_streaming_equals_bulk_ingest(library):
@@ -217,7 +215,7 @@ def test_sharded_deferred_equivalent_to_serial_deferred(library):
         track_latency=False, defer_detection=True, strict=True,
     )
     assert result.ok
-    assert result.serial_reports > 0
+    assert result.facts["serial_reports"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ def test_sharded_performance_path_equivalent_to_serial(library):
         track_latency=True, strict=True,
     )
     assert result.ok
-    assert result.serial_reports >= 1  # at least the perf report
+    assert result.facts["serial_reports"] >= 1  # at least the perf report
 
 
 def test_sharded_perf_debounce_suppresses_repeat_anomalies(library):
@@ -322,11 +320,13 @@ def test_oracle_flags_context_splitting_partition(library):
     assert not result.ok
     assert result.missing or result.extra
     assert "DIVERGED" in result.summary()
-    with pytest.raises(ShardDivergence):
+    with pytest.raises(Divergence) as excinfo:
         verify_equivalence(
             events, library, 4, key=shredder, batch_size=64,
             config=config(), strict=True,
         )
+    assert excinfo.value.oracle == "shards"
+    assert excinfo.value.first == result.first
 
 
 def test_oracle_summary_on_equivalent_run(library):
@@ -334,7 +334,8 @@ def test_oracle_summary_on_equivalent_run(library):
     result = verify_equivalence(events, library, 2, config=config(),
                                 strict=True)
     assert "EQUIVALENT" in result.summary()
-    assert result.events == 400
+    assert result.facts["events"] == 400
+    assert result.first is None
 
 
 def test_source_node_key_reads_src_node(library):
@@ -367,7 +368,7 @@ def test_process_backend_equivalent_to_serial(library, shards):
         strict=True, backend="process",
     )
     assert result.ok
-    assert result.serial_reports == result.sharded_reports > 0
+    assert result.facts["serial_reports"] == result.facts["sharded_reports"] > 0
 
 
 def test_process_backend_counters_and_reports_match_inline(library):
@@ -459,20 +460,24 @@ def test_worker_dropping_a_report_raises_divergence(library, monkeypatch):
     from repro.core import workers
 
     original = workers.ProcessShard._collect
-    state = {"dropped": False}
+    state = {"dropped": None}
 
     def dropping(self, reports):
         reports = list(reports)
-        if reports and not state["dropped"]:
-            state["dropped"] = True
+        if reports and state["dropped"] is None:
+            state["dropped"] = reports[0]
             reports = reports[1:]
         original(self, reports)
 
     monkeypatch.setattr(workers.ProcessShard, "_collect", dropping)
     events = make_stream(library, fault_every=40).events(800)
-    with pytest.raises(ShardDivergence):
+    with pytest.raises(Divergence) as excinfo:
         verify_equivalence(events, library, 2, batch_size=64,
                            config=config(), backend="process")
+    assert excinfo.value.oracle == "shards"
+    assert excinfo.value.first == (
+        report_signature(state["dropped"]), None,
+    )
 
 
 def test_worker_duplicating_a_report_raises_divergence(
@@ -482,20 +487,24 @@ def test_worker_duplicating_a_report_raises_divergence(
     from repro.core import workers
 
     original = workers.ProcessShard._collect
-    state = {"duplicated": False}
+    state = {"duplicated": None}
 
     def duplicating(self, reports):
         reports = list(reports)
-        if reports and not state["duplicated"]:
-            state["duplicated"] = True
+        if reports and state["duplicated"] is None:
+            state["duplicated"] = reports[0]
             reports = reports + [reports[0]]
         original(self, reports)
 
     monkeypatch.setattr(workers.ProcessShard, "_collect", duplicating)
     events = make_stream(library, fault_every=40).events(800)
-    with pytest.raises(ShardDivergence):
+    with pytest.raises(Divergence) as excinfo:
         verify_equivalence(events, library, 2, batch_size=64,
                            config=config(), backend="process")
+    assert excinfo.value.oracle == "shards"
+    assert excinfo.value.first == (
+        None, report_signature(state["duplicated"]),
+    )
 
 
 def test_killed_worker_raises_worker_error_not_hang(library):

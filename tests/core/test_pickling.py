@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.parallel import report_signature
+from repro.oracle import report_signature
 from repro.core.pipeline.stages import STAT_FIELDS, PipelineStats
 from repro.monitoring.store import MetadataStore
 from repro.workloads.traffic import SyntheticStream
@@ -61,7 +61,7 @@ def test_wire_event_batch_roundtrips(library):
 
 def test_config_roundtrips(library):
     config = GretelConfig(alpha=512, p_rate=150.0,
-                          indexed_selection=True)
+                          use_correlation_ids=True)
     clone = roundtrip(config)
     assert clone == config
 

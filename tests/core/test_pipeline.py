@@ -1,11 +1,13 @@
 """Tests for the composable analysis pipeline (builder, middleware,
 stage graph, merged stats)."""
 
+import json
+
 import pytest
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.parallel import ShardedAnalyzer, report_signature
+from repro.core.parallel import ShardedAnalyzer
 from repro.core.pipeline import (
     STAGE_NAMES,
     PipelineBuilder,
@@ -13,6 +15,8 @@ from repro.core.pipeline import (
     StageCounters,
     StageTimer,
 )
+from repro.core.state import StateError
+from repro.oracle import report_signature
 from repro.workloads.traffic import SyntheticStream
 
 
@@ -280,3 +284,20 @@ def test_shards_compose_shared_wiring(library):
     assert stores == {id(analyzer.store)}
     assert configs == {id(analyzer.config)}
     assert len(windows) == 3
+
+
+def test_restore_refuses_state_with_retired_config_fields(library):
+    """A checkpoint whose config still carries the retired
+    reference-path switches (``incremental_match``,
+    ``indexed_selection``, ``incremental_ls``) is refused, not
+    silently replayed under today's semantics."""
+    donor = PipelineBuilder(library).with_config(config()).build()
+    donor.process_chunk(make_stream(library).events(200))
+    state = json.loads(json.dumps(donor.snapshot_state()))
+    state["config"].update(
+        incremental_match=True, indexed_selection=True,
+        incremental_ls=True,
+    )
+    fresh = PipelineBuilder(library).with_config(config()).build()
+    with pytest.raises(StateError, match="different config"):
+        fresh.restore_state(state)

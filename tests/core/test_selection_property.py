@@ -12,12 +12,13 @@ symbols, truncation cut points, pure-read classification).
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.compile import candidate_signature, compile_library
+from repro.analysis.compile import compile_library
 from repro.core.config import GretelConfig
 from repro.core.detector import OperationDetector
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.symbols import SymbolTable
 from repro.openstack.catalog import default_catalog
+from repro.oracle import ReferenceDetector, candidate_signature
 
 _CATALOG = default_catalog()
 _SYMBOLS = SymbolTable(_CATALOG)
@@ -60,15 +61,7 @@ def test_indexed_selection_equals_full_scan(data):
     indexed = OperationDetector(
         library, _SYMBOLS, _CATALOG, config, compiled_index=index,
     )
-    reference = OperationDetector(
-        library, _SYMBOLS, _CATALOG,
-        GretelConfig(
-            prune_rpcs=config.prune_rpcs,
-            relaxed_match=config.relaxed_match,
-            truncate_fingerprints=config.truncate_fingerprints,
-            indexed_selection=False,
-        ),
-    )
+    reference = ReferenceDetector(library, _SYMBOLS, _CATALOG, config)
 
     # Queried symbols include ones absent from every fingerprint.
     queries = data.draw(st.lists(

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import GretelConfig
-from repro.core.outliers import LevelShiftDetector, _median
+from repro.core.outliers import _median
 from repro.core.streamstats import (
     IncrementalLevelShiftDetector,
-    LevelShiftDivergence,
     SortedWindow,
     detector_from_config,
+)
+from repro.oracle import (
+    Divergence,
+    LevelShiftDetector,
+    reference_levelshift,
     verify_levelshift,
 )
 
@@ -251,13 +255,13 @@ def test_incremental_equivalent_to_reference(seed, window, confirm, cooldown):
     )
     result = verify_levelshift(shift_series(seed), config=config)
     assert result.ok
-    assert result.samples == 400
+    assert result.facts["samples"] == 400
 
 
 def test_oracle_counts_alarms():
     result = verify_levelshift(shift_series(7))
     assert result.ok
-    assert result.alarms >= 1
+    assert result.facts["alarms"] >= 1
     assert "EQUIVALENT" in result.summary()
 
 
@@ -274,7 +278,7 @@ def test_oracle_flags_divergence():
     )
     assert not result.ok
     assert "DIVERGED" in result.summary()
-    with pytest.raises(LevelShiftDivergence):
+    with pytest.raises(Divergence) as excinfo:
         verify_levelshift(
             shift_series(3),
             detectors=(
@@ -282,23 +286,30 @@ def test_oracle_flags_divergence():
                 IncrementalLevelShiftDetector(window=8),
             ),
         )
+    # Step a fresh pair by hand to the first sample they disagree on.
+    reference = LevelShiftDetector(window=24)
+    incremental = IncrementalLevelShiftDetector(window=8)
+    for index, (ts, value) in enumerate(samples):
+        expected = (reference.update(ts, value), reference.threshold(),
+                    reference.baseline)
+        actual = (incremental.update(ts, value), incremental.threshold(),
+                  incremental.baseline)
+        if expected != actual:
+            break
+    assert excinfo.value.oracle == "levelshift"
+    assert result.mismatches[0].key == ("series", index)
+    assert excinfo.value.first[0][1:] == expected[1:]
+    assert excinfo.value.first[1][1:] == actual[1:]
 
 
 def test_detector_from_config_honors_flag():
-    on = GretelConfig(incremental_ls=True)
-    off = GretelConfig(incremental_ls=False)
+    """Production always builds the incremental detector; the
+    reference is an oracle-side constructor."""
+    config = GretelConfig()
     assert isinstance(
-        detector_from_config(on), IncrementalLevelShiftDetector
+        detector_from_config(config), IncrementalLevelShiftDetector
     )
-    assert isinstance(detector_from_config(off), LevelShiftDetector)
-    # Explicit override beats the config flag (the oracle's hook).
-    assert isinstance(
-        detector_from_config(off, incremental=True),
-        IncrementalLevelShiftDetector,
-    )
-    assert isinstance(
-        detector_from_config(on, incremental=False), LevelShiftDetector
-    )
+    assert isinstance(reference_levelshift(config), LevelShiftDetector)
 
 
 def test_detector_from_config_wires_ls_knobs():
@@ -306,8 +317,8 @@ def test_detector_from_config_wires_ls_knobs():
         ls_window=16, ls_sigmas=5.0, ls_min_delta=0.01,
         ls_confirm=2, ls_warmup=8, ls_rel_delta=0.3, ls_cooldown=7.0,
     )
-    for incremental in (False, True):
-        detector = detector_from_config(config, incremental=incremental)
+    for build in (reference_levelshift, detector_from_config):
+        detector = build(config)
         assert detector.window == 16
         assert detector.sigmas == 5.0
         assert detector.min_delta == 0.01

@@ -5,7 +5,7 @@ producers lose nothing under ``"block"``, account for everything
 under ``"shed"``, checkpointing races cleanly with live pumps,
 shutdown with producers still running neither deadlocks nor leaks a
 pump thread, and the whole thing is observably identical to the sync
-router (:func:`repro.service.verify_async` — including a negative
+router (:func:`repro.oracle.verify_async` — including a negative
 test proving the oracle actually trips on a tampered pump).
 """
 
@@ -13,14 +13,8 @@ import threading
 
 import pytest
 
-from repro.core.parallel import report_signature
-from repro.service import (
-    AsyncDivergence,
-    CheckpointStore,
-    StreamingService,
-    verify_async,
-)
-from repro.service.async_oracle import bucket_tenant
+from repro.oracle import Divergence, report_signature, verify_async
+from repro.service import CheckpointStore, StreamingService, bucket_tenant
 from repro.service.session import TenantSession
 
 from .conftest import CONFIG
@@ -299,9 +293,9 @@ def test_verify_async_inline_backend(library, stream_events):
         queue_capacity=64,
     )
     assert result.ok
-    assert result.sync_reports == result.async_reports > 0
+    assert result.facts["sync_reports"] == result.facts["async_reports"] > 0
     assert result.missing == [] and result.extra == []
-    assert result.counter_diff == {}
+    assert result.to_dict()["counter_diff"] == {}
     assert result.to_dict()["ok"] is True
     assert "EQUIVALENT" in result.summary()
 
@@ -326,11 +320,16 @@ def test_tampered_pump_trips_the_oracle(
     monkeypatch.setattr(
         TenantSession, "_pump_step", lambda self, chunk: None,
     )
-    with pytest.raises(AsyncDivergence, match="DIVERGED"):
+    with pytest.raises(Divergence, match="DIVERGED") as excinfo:
         verify_async(
             stream_events, library,
             tenants=TENANTS, producers=2, config=CONFIG,
         )
+    # Every sync report is missing; the lowest one is named first.
+    assert excinfo.value.oracle == "async"
+    result = excinfo.value.result
+    assert result.facts["async_reports"] == 0
+    assert excinfo.value.first == (min(result.missing), None)
 
 
 def test_verify_async_rejects_bad_arguments(library, stream_events):

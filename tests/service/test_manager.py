@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.parallel import report_signature
+from repro.oracle import report_signature
 from repro.service import CheckpointStore, StreamingService
 from repro.service.manager import DEFAULT_TENANT
 

@@ -7,8 +7,8 @@ and a behavior-level corruption and the oracle must flag each.
 
 import pytest
 
-from repro.service import CheckpointDivergence, verify_checkpoint
-from repro.service.oracle import _cut_points
+from repro.oracle import Divergence, verify_checkpoint
+from repro.oracle.verify import _cut_points
 
 from .conftest import CONFIG
 
@@ -30,10 +30,12 @@ def test_checkpoint_restore_is_invisible(library, stream_events):
         stream_events, library, cuts=3, config=CONFIG,
     )
     assert result.ok
-    assert result.straight_reports == result.restored_reports > 0
-    assert len(result.cuts) == 3
-    assert "PASS" in result.summary()
+    facts = result.facts
+    assert facts["straight_reports"] == facts["restored_reports"] > 0
+    assert len(facts["cuts"]) == 3
+    assert "EQUIVALENT" in result.summary()
     assert result.to_dict()["ok"] is True
+    assert result.to_dict()["stats_diff"] == {}
 
 
 def test_oracle_flags_counter_corruption(library, stream_events):
@@ -41,11 +43,15 @@ def test_oracle_flags_counter_corruption(library, stream_events):
         state["ingest"]["events_processed"] += 7
         return state
 
-    with pytest.raises(CheckpointDivergence, match="counter diffs"):
+    with pytest.raises(Divergence, match="stats_diff") as excinfo:
         verify_checkpoint(
             stream_events, library, cuts=1, config=CONFIG,
             mutate=bump_counter,
         )
+    # Reports are unaffected; the first divergence is the counter.
+    assert excinfo.value.oracle == "checkpoint"
+    straight, restored = excinfo.value.first
+    assert restored == straight + 7
 
 
 def test_oracle_flags_behavioral_corruption(library, stream_events):
@@ -60,7 +66,15 @@ def test_oracle_flags_behavioral_corruption(library, stream_events):
     )
     assert not result.ok
     assert result.missing
-    assert "FAIL" in result.summary()
+    assert "DIVERGED" in result.summary()
+    with pytest.raises(Divergence) as excinfo:
+        verify_checkpoint(
+            stream_events, library, cuts=3, config=CONFIG,
+            mutate=drop_pending,
+        )
+    # The lost reports surface first, lowest signature first.
+    assert excinfo.value.oracle == "checkpoint"
+    assert excinfo.value.first == (min(result.missing), None)
 
 
 def test_strict_false_returns_instead_of_raising(library, stream_events):
@@ -73,4 +87,4 @@ def test_strict_false_returns_instead_of_raising(library, stream_events):
         mutate=bump_counter, strict=False,
     )
     assert not result.ok
-    assert "events_processed" in result.stats_diff
+    assert "events_processed" in result.to_dict()["stats_diff"]

@@ -108,7 +108,7 @@ def test_snapshot_round_trip_mid_stream(library, stream_events):
         resumed.submit(event)
     resumed.flush()
 
-    from repro.core.parallel import report_signature
+    from repro.oracle import report_signature
 
     # The resumed session replays only the tail, so its own emit count
     # is the straight run's minus what the first half already emitted.

@@ -247,7 +247,7 @@ def test_analyze_reports_throughput(full_character, capsys):
 
 def test_analyze_verify_shards_oracle(full_character, capsys):
     assert main(["analyze", "--events", "4000", "--shards", "4",
-                 "--batch-size", "256", "--verify-shards"]) == 0
+                 "--batch-size", "256", "--verify", "shards"]) == 0
     out = capsys.readouterr().out
     assert "EQUIVALENT" in out
     assert "4-shard on 4000 events" in out
@@ -255,12 +255,37 @@ def test_analyze_verify_shards_oracle(full_character, capsys):
 
 def test_analyze_verify_selection_oracle(full_character, capsys):
     assert main(["analyze", "--events", "3000", "--shards", "2",
-                 "--no-latency", "--verify-selection"]) == 0
+                 "--no-latency", "--verify", "selection"]) == 0
     out = capsys.readouterr().out
-    assert "EQUIVALENT: indexed vs full-scan selection" in out
-    assert "serial reports with indexed_selection on vs off" in out
-    assert "2-shard reports with indexed_selection on vs off" in out
+    assert "EQUIVALENT: selection oracle, indexed vs full-scan" in out
+    assert "serial reports, production vs reference pipeline" in out
+    assert "2-shard reports, production vs reference pipeline" in out
     assert "DIVERGED" not in out
+
+
+def test_analyze_verify_is_repeatable_and_keyed_per_oracle(
+    full_character, capsys
+):
+    assert main(["analyze", "--events", "3000", "--shards", "2",
+                 "--verify", "detection", "--verify", "levelshift",
+                 "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["exit_code"] == 0
+    detection = document["verify_detection"]
+    assert detection["ok"] is True and detection["snapshots"] > 0
+    assert detection["detections"] == {}
+    levelshift = document["verify_levelshift"]
+    assert levelshift["ok"] is True and levelshift["samples"] > 0
+    assert "EQUIVALENT: levelshift oracle" in levelshift["summary"]
+
+
+def test_verify_rejects_unknown_oracle_names(full_character):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--verify", "checkpoint"])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--verify", "shards"])
+    assert excinfo.value.code == 2
 
 
 def test_analyze_stage_stats_report_selection_counters(
@@ -280,7 +305,7 @@ def test_analyze_stage_stats_report_selection_counters(
 def test_analyze_process_backend_verify_shards(full_character, capsys):
     assert main(["analyze", "--events", "3000", "--shards", "2",
                  "--batch-size", "256", "--backend", "process",
-                 "--verify-shards"]) == 0
+                 "--verify", "shards"]) == 0
     out = capsys.readouterr().out
     assert "2-shard analyzer (process backend)" in out
     assert "EQUIVALENT" in out
@@ -462,7 +487,7 @@ def test_serve_async_json_document(full_character, capsys):
 def test_serve_verify_async_oracle(full_character, capsys):
     assert main(["serve", "--events", "2000", "--tenants", "2",
                  "--alpha", "64", "--no-latency", "--async",
-                 "--pump-threads", "2", "--verify-async",
+                 "--pump-threads", "2", "--verify", "async",
                  "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
     verdict = document["verify_async"]
@@ -511,7 +536,7 @@ def test_serve_checkpoint_resume_round_trip(
 def test_serve_verify_checkpoint_oracle(full_character, capsys):
     assert main(["serve", "--events", "2000", "--tenants", "2",
                  "--alpha", "64", "--no-latency",
-                 "--verify-checkpoint", "--cuts", "2",
+                 "--verify", "checkpoint", "--cuts", "2",
                  "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
     verdict = document["verify_checkpoint"]
