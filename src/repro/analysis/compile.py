@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
@@ -70,7 +71,7 @@ from repro.core.symbols import SymbolTable
 from repro.openstack.catalog import ApiCatalog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.detector import _Candidate
+    from repro.core.detector import Selection, _Candidate
 
 #: Artifact format version; bumped on any serialization change.
 FORMAT_VERSION = 1
@@ -141,8 +142,8 @@ class CandidatePrep:
 
     Field-for-field the static part of
     ``repro.core.detector._Candidate`` (everything except the library
-    fingerprint it hydrates against); ``alphabet`` and
-    ``needle_counts`` are derived once here and shared read-only by
+    fingerprint it hydrates against); ``cut_lengths``, ``alphabet``
+    and ``needle_counts`` are built once here and shared read-only by
     every hydration.
     """
 
@@ -154,7 +155,12 @@ class CandidatePrep:
     needle_counts: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        source = self.needle
+        # Iterating a string makes a fresh one-character string per
+        # symbol (symbols are private-use code points, outside the
+        # interpreter's Latin-1 cache).  Interned, the ~150k alphabet
+        # and count entries across the pool share one object per
+        # symbol instead of holding ~11 MB of copies.
+        source = [sys.intern(symbol) for symbol in self.needle]
         self.alphabet = frozenset(source)
         self.needle_counts = dict(Counter(source))
 
@@ -304,7 +310,7 @@ class CompiledIndex:
         # The bound library is held weakly: the module-level compile
         # memo keys on the library, and a strong value→key reference
         # inside a WeakKeyDictionary would leak both.
-        self._hydrated: Dict[Tuple[str, bool], List["_Candidate"]] = {}
+        self._hydrated: Dict[Tuple[str, bool], "Selection"] = {}
         self._bound: Optional[
             "weakref.ref[FingerprintLibrary]"
         ] = None
@@ -326,15 +332,15 @@ class CompiledIndex:
         symbol: str,
         truncated: bool,
         library: FingerprintLibrary,
-    ) -> List["_Candidate"]:
-        """The prepared candidate list for one ``(symbol, truncation)``
+    ) -> "Selection":
+        """The prepared candidates for one ``(symbol, truncation)``
         lookup, bound to ``library``'s live fingerprint objects.
 
-        Built once and shared by every detector served from this
-        artifact; candidates are read-only at detection time (the one
-        lazily-assigned field, the foreign-symbol strip pattern, is
-        idempotent), so sharing is safe.  Binding a *different* library
-        object resets the memo.
+        Built once — with its scoring-class partition — and shared by
+        every detector served from this artifact.  Sharing is safe
+        because nothing writes to a candidate, a selection or its
+        classes after hydration: every field is fixed at construction.
+        Binding a *different* library object resets the memo.
         """
         bound = self._bound() if self._bound is not None else None
         if bound is not library:
@@ -352,12 +358,12 @@ class CompiledIndex:
         symbol: str,
         truncated: bool,
         library: FingerprintLibrary,
-    ) -> List["_Candidate"]:
-        from repro.core.detector import _Candidate
+    ) -> "Selection":
+        from repro.core.detector import Selection, _Candidate
 
         entry = self._entries.get(symbol)
         if entry is None:
-            return []
+            return Selection()
         prep_ids = entry.truncated if truncated else entry.untruncated
         preps = self.preps
         get = library.get
@@ -367,13 +373,13 @@ class CompiledIndex:
             candidates.append(_Candidate(
                 original=get(operation),
                 sc_symbols=prep.sc_symbols,
-                cut_lengths=list(prep.cut_lengths),
+                cut_lengths=prep.cut_lengths,
                 full_symbols=prep.full_symbols,
                 pure_read=prep.pure_read,
                 alphabet=prep.alphabet,
                 needle_counts=prep.needle_counts,
             ))
-        return candidates
+        return Selection(candidates)
 
     # -- introspection ----------------------------------------------------
 

@@ -45,6 +45,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -57,7 +58,12 @@ from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
-from repro.core.matching.engine import MatchingEngine, MatchingStats
+from repro.core.matching.engine import (
+    MatchingEngine,
+    MatchingStats,
+    ScoringClass,
+    scoring_classes,
+)
 from repro.core.precision import theta
 from repro.core.state import require_state
 from repro.core.symbols import SymbolTable
@@ -130,7 +136,7 @@ class _Candidate:
     sc_symbols: str
     #: Prefix lengths (into ``sc_symbols``) for each truncation point,
     #: ascending; the last entry is ``len(sc_symbols)``.
-    cut_lengths: List[int]
+    cut_lengths: Sequence[int]
     #: Full symbol string of the longest truncation (for pure reads).
     full_symbols: str
     pure_read: bool
@@ -181,6 +187,25 @@ class _Candidate:
             have = get(symbol, 0)
             matched += count if count < have else have
         return matched / len(source)
+
+
+class Selection(Tuple[_Candidate, ...]):
+    """The candidates one ``(symbol, truncation)`` lookup selects, in
+    operation-name order, with their scoring classes
+    (:func:`~repro.core.matching.scoring_classes`).
+
+    Read-only, and memoized wherever the lookup is
+    (:meth:`CompiledIndex.hydrated`, the reference full scan's
+    ``candidates_for`` cache), so the partition is built once per
+    list rather than once per snapshot.
+    """
+
+    classes: Tuple[ScoringClass, ...]
+
+    def __new__(cls, candidates: Iterable[_Candidate] = ()) -> "Selection":
+        selection = super().__new__(cls, candidates)
+        selection.classes = scoring_classes(selection)
+        return selection
 
 
 def prepare_candidate(
@@ -289,7 +314,7 @@ class OperationDetector:
         self.catalog = catalog
         self.config = config or GretelConfig()
         self._rest_only_cache: Dict[str, Fingerprint] = {}
-        self._candidate_cache: Dict[Tuple[str, bool], List[_Candidate]] = {}
+        self._candidate_cache: Dict[Tuple[str, bool], Selection] = {}
         self._fragment_cache: Dict[str, str] = {}
         if compiled_index is not None and not compiled_index.serves(
             self.config
@@ -390,7 +415,7 @@ class OperationDetector:
         return self._compiled
 
     def candidates_for(self, api_key: str, *,
-                       truncate: bool = True) -> List["_Candidate"]:
+                       truncate: bool = True) -> Selection:
         """Possible offending operations with truncation cut points.
 
         Candidates are ordered by operation name (the
@@ -407,14 +432,15 @@ class OperationDetector:
         return cached
 
     def _prepare_candidates(self, symbol: str,
-                            truncate: bool) -> List["_Candidate"]:
+                            truncate: bool) -> Selection:
         """Postings lookup + prepared-candidate hydration.
 
         The hydrated list itself is memoized on the *artifact*
         (:meth:`CompiledIndex.hydrated`): every detector served from
         one index — e.g. all shards of a sharded analyzer — shares the
-        same read-only candidate objects, so hydration is paid once
-        per ``(symbol, truncation)`` per artifact, not per detector.
+        same read-only :class:`Selection`, so hydration and the
+        scoring-class partition are paid once per ``(symbol,
+        truncation)`` per artifact, not per detector.
         ``repro.oracle`` overrides this hook with the reference full
         scan; ``verify_selection`` holds the two identical.
         """
@@ -475,25 +501,27 @@ class OperationDetector:
 
     # -- scoring --------------------------------------------------------------------
 
-    def _scorer(self, snapshot: Snapshot, candidates: List[_Candidate],
+    def _scorer(self, snapshot: Snapshot, candidates: Selection,
                 correlation_id: str) -> ScoreFn:
         """The per-snapshot scorer Algorithm 2's loop calls per window.
 
         An incremental :class:`~repro.core.matching.MatchSession`
-        (``docs/matching.md``): per-candidate bit-rows stay alive
-        across β growth, so each iteration costs O(δ) instead of
-        O(β).  ``repro.oracle`` overrides this hook with the
-        from-scratch reference scorer; ``verify_detection`` holds the
-        two bit-identical.
+        (``docs/matching.md``): one bit-row per scoring class stays
+        alive across β growth, so each iteration costs O(δ) per
+        distinct class instead of O(β) per candidate.
+        ``repro.oracle`` overrides this hook with the from-scratch
+        reference scorer; ``verify_detection`` holds the two
+        bit-identical.
         """
         return self.matching.session(
             self._session_fragments(snapshot, correlation_id),
             candidates,
             threshold=self.config.match_coverage,
             strict=not self.config.relaxed_match,
+            classes=candidates.classes,
         ).score
 
-    def _rank(self, candidates: List[_Candidate],
+    def _rank(self, candidates: Sequence[_Candidate],
               scores: Dict[int, Tuple[int, float]]) -> List[int]:
         """Keep candidates whose corroborated length is near the best.
 
@@ -580,7 +608,7 @@ class OperationDetector:
             events=snapshot.window(final_beta),
         )
 
-    def _finish(self, snapshot: Snapshot, candidates: List[_Candidate],
+    def _finish(self, snapshot: Snapshot, candidates: Sequence[_Candidate],
                 total: int, *, scores: Dict[int, Tuple[int, float]], beta: int,
                 iterations: int, events: Sequence[WireEvent]) -> DetectionResult:
         ranked = self._rank(candidates, scores)

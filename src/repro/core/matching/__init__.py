@@ -1,7 +1,8 @@
 """Incremental matching: O(δ) re-scoring for Algorithm 2's loop.
 
-See ``docs/matching.md``.  The engine (``engine``) keeps per-candidate
-bit-parallel rows alive across context-buffer growth iterations; the
+See ``docs/matching.md``.  The engine (``engine``) keeps one
+bit-parallel row per scoring class (candidates with equal needle, cuts
+and pure-read flag) alive across context-buffer growth iterations; the
 indexes (``index``) replace the per-candidate foreign-symbol regex
 strip with per-snapshot symbol/position lookups.
 ``repro.oracle.verify_detection`` proves the engine's results
@@ -13,6 +14,8 @@ from repro.core.matching.engine import (
     MatchingStats,
     MatchSession,
     ScoringCandidate,
+    ScoringClass,
+    scoring_classes,
     select_cut,
 )
 from repro.core.matching.index import SnapshotIndex, WindowCounts
@@ -22,7 +25,9 @@ __all__ = [
     "MatchingEngine",
     "MatchingStats",
     "ScoringCandidate",
+    "ScoringClass",
     "SnapshotIndex",
     "WindowCounts",
+    "scoring_classes",
     "select_cut",
 ]

@@ -8,6 +8,13 @@ though at most 2δ events are new.  This engine keeps matcher state
 alive across the iterations of one snapshot and reduces the
 steady-state per-iteration cost to a function of what *changed*:
 
+* **Scoring classes.**  Workload templates stamp out operations with
+  identical symbol shapes, so many candidates share their needle,
+  truncation cuts and pure-read flag — every input of the gate and the
+  DP.  :func:`scoring_classes` partitions a candidate list by that key
+  once per memoized list; a session gates and scores one state per
+  class and writes the result to every member position (on the dense
+  Fig. 8c stream, ~350 candidates per snapshot fall into ~25 classes).
 * **Alphabet blocks.**  Candidates sharing a fault symbol overlap
   heavily: on the Fig. 8c stream ~14 candidates share each distinct
   symbol-set.  Everything that depends only on the *alphabet* — the
@@ -27,12 +34,12 @@ steady-state per-iteration cost to a function of what *changed*:
   count of zero bits.  LCS is symmetric, so the integers — and
   therefore every coverage float, gate decision and ranking — are
   bit-identical to the reference.  A window whose relevant span did
-  not change since the candidate's previous iteration returns its
-  cached score without touching the DP.
+  not change since the class's previous iteration returns its cached
+  score without touching the DP.
 * **Shared multiplicity gate.**  The Counter-based upper bound
   (``_Candidate.upper_bound``) is evaluated with per-symbol window
   counts bisected out of the snapshot index and cached across all
-  candidates of the iteration; the summed bound is an integer, so the
+  classes of the iteration; the summed bound is an integer, so the
   resulting float (and the gate decision) is identical to the
   reference's ``Counter``-over-the-joined-string computation.
 
@@ -76,6 +83,8 @@ __all__ = [
     "MatchingEngine",
     "MatchingStats",
     "ScoringCandidate",
+    "ScoringClass",
+    "scoring_classes",
     "select_cut",
 ]
 
@@ -114,7 +123,7 @@ class ScoringCandidate(Protocol):
     """
 
     pure_read: bool
-    cut_lengths: List[int]
+    cut_lengths: Sequence[int]
     alphabet: FrozenSet[str]
     needle_counts: Dict[str, int]
 
@@ -143,8 +152,8 @@ class MatchingStats:
     #: Alphabet blocks materialized (first un-gated sight of a
     #: distinct candidate alphabet in a session).
     blocks_built: int = 0
-    #: DP passes actually run — window evaluations whose relevant
-    #: span changed since the candidate's previous iteration.
+    #: DP passes actually run — class window evaluations whose
+    #: relevant span changed since the class's previous iteration.
     lcs_row_extensions: int = 0
     #: Needle symbols fed through the bit-parallel recurrence across
     #: all DP passes.
@@ -240,32 +249,45 @@ class _AlphabetBlock:
         return self._shifted
 
 
-class _CandidateState:
-    """One candidate's live scoring state within a session."""
+#: Scoring-class identity: ``(needle, cut lengths, pure_read)``.
+_ClassKey = Tuple[str, Tuple[int, ...], bool]
+
+
+class ScoringClass:
+    """Candidates of one list that always score identically.
+
+    Every input of the multiplicity gate and the DP — the needle
+    multiplicities, ``size``, the alphabet block, the cuts,
+    ``final_length`` and (per session) ``required`` — is a function of
+    the class key, so one gate, one span check and one DP pass per
+    window serve every member position.  Immutable: a class is built
+    once per memoized candidate list and shared by every session over
+    that list.
+    """
 
     __slots__ = (
-        "candidate", "needle", "cuts", "pure_read", "final_length",
-        "needle_items", "size", "required", "block", "last_span",
-        "last_result",
+        "members", "needle", "cuts", "pure_read", "final_length",
+        "needle_counts", "size", "alphabet",
     )
 
     def __init__(
-        self, candidate: ScoringCandidate, required: float
+        self, candidate: ScoringCandidate, members: Tuple[int, ...]
     ) -> None:
-        self.candidate = candidate
+        #: Candidate positions in the list, ascending.
+        self.members = members
         needle = candidate.needle
         self.needle = needle
+        # Shared with the candidate (read-only): hydrated candidates
+        # already share them with their prep, so a class costs little
+        # more than its member tuple.
         self.cuts = candidate.cut_lengths
         self.pure_read = candidate.pure_read
         self.final_length = candidate.final_length
-        self.needle_items = tuple(candidate.needle_counts.items())
+        self.needle_counts = candidate.needle_counts
         # ``max(1, …)``: an empty needle sums 0 credits, and 0/1 keeps
         # the 0.0 bound the reference computes without a zero division.
         self.size = max(1, len(needle))
-        self.required = required
-        self.block: Optional[_AlphabetBlock] = None
-        self.last_span: Optional[Tuple[int, int]] = None
-        self.last_result: Score = (0, 0.0)
+        self.alphabet = candidate.alphabet
 
     def run(
         self,
@@ -316,14 +338,48 @@ class _CandidateState:
         return select_cut(cuts, lengths)
 
 
+def scoring_classes(
+    candidates: Sequence[ScoringCandidate],
+) -> Tuple[ScoringClass, ...]:
+    """Partition ``candidates`` into scoring classes, ordered by each
+    class's first member."""
+    groups: Dict[_ClassKey, List[int]] = {}
+    for position, candidate in enumerate(candidates):
+        key = (
+            candidate.needle, tuple(candidate.cut_lengths),
+            candidate.pure_read,
+        )
+        groups.setdefault(key, []).append(position)
+    return tuple(
+        ScoringClass(candidates[members[0]], tuple(members))
+        for members in groups.values()
+    )
+
+
+class _ClassState:
+    """One scoring class's live state within a session."""
+
+    __slots__ = ("cls", "required", "block", "last_span", "last_result")
+
+    def __init__(self, cls: ScoringClass, required: float) -> None:
+        self.cls = cls
+        self.required = required
+        self.block: Optional[_AlphabetBlock] = None
+        self.last_span: Optional[Tuple[int, int]] = None
+        self.last_result: Score = (0, 0.0)
+
+
 class MatchSession:
     """Scoring state for one snapshot's adaptive-buffer loop.
 
-    Drop-in replacement for ``OperationDetector._score`` over
-    successive windows of a single snapshot: :meth:`score` takes the
-    same ``finalized`` dict and returns the same
+    Drop-in replacement for the reference scorer over successive
+    windows of a single snapshot: :meth:`score` takes the same
+    ``finalized`` dict and returns the same
     ``{candidate index: (length, coverage)}`` mapping — with identical
-    floats — while keeping blocks and rows alive between calls.
+    floats — while keeping blocks and rows alive between calls.  Work
+    is done once per scoring class (``classes``, the partition of
+    ``candidates`` from :func:`scoring_classes`) and written to every
+    member position.
     """
 
     def __init__(
@@ -331,17 +387,18 @@ class MatchSession:
         index: SnapshotIndex,
         candidates: Sequence[ScoringCandidate],
         *,
+        classes: Sequence[ScoringClass],
         threshold: float,
         strict: bool,
         stats: MatchingStats,
     ) -> None:
         self._index = index
+        self._candidates = len(candidates)
         self._states = [
-            _CandidateState(
-                candidate,
-                0.999 if (candidate.pure_read or strict) else threshold,
+            _ClassState(
+                cls, 0.999 if (cls.pure_read or strict) else threshold,
             )
-            for candidate in candidates
+            for cls in classes
         ]
         self._blocks: Dict[FrozenSet[str], _AlphabetBlock] = {}
         self._stats = stats
@@ -357,13 +414,20 @@ class MatchSession:
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of the session.
 
-        Only the per-candidate memoization — the last scored span and
-        its result — is state; alphabet blocks are pure caches over
-        the snapshot index and are rebuilt lazily on the next score.
+        Only the per-class memoization — the last scored span and its
+        result — is state, written out once per candidate so the
+        format stays per candidate; alphabet blocks are pure caches
+        over the snapshot index and are rebuilt lazily on the next
+        score.
         """
+        owner = {
+            position: state
+            for state in self._states for position in state.cls.members
+        }
+        per_candidate = [owner[p] for p in range(self._candidates)]
         return {
             "fmt": self.STATE_FMT,
-            "candidates": len(self._states),
+            "candidates": self._candidates,
             "states": [
                 {
                     "span": (
@@ -372,25 +436,40 @@ class MatchSession:
                     ),
                     "result": list(state.last_result),
                 }
-                for state in self._states
+                for state in per_candidate
             ],
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a fresh session over the same snapshot and
-        candidate list."""
+        candidate list.
+
+        Members of one class share one memo, so their saved entries
+        must agree; a state that splits a class raises
+        :class:`StateError` instead of picking one.
+        """
         require_state(state, self.STATE_FMT)
-        if state["candidates"] != len(self._states):
+        if state["candidates"] != self._candidates:
             raise StateError(
                 f"session state carries {state['candidates']} "
-                f"candidates, this session has {len(self._states)}"
+                f"candidates, this session has {self._candidates}"
             )
-        for live, saved in zip(self._states, state["states"]):
-            span = saved["span"]
+        saved = state["states"]
+        for live in self._states:
+            members = live.cls.members
+            entry = saved[members[0]]
+            for position in members[1:]:
+                if saved[position] != entry:
+                    raise StateError(
+                        f"session state splits a scoring class: "
+                        f"candidates {members[0]} and {position} carry "
+                        f"different memos"
+                    )
+            span = entry["span"]
             live.last_span = (
                 None if span is None else (span[0], span[1])
             )
-            result = saved["result"]
+            result = entry["result"]
             live.last_result = (result[0], result[1])
             live.block = None
 
@@ -402,12 +481,14 @@ class MatchSession:
     ) -> Dict[int, Score]:
         """Score every candidate against ``events[lo:hi]``.
 
-        Mirrors the reference ``_score`` decision-for-decision: the
+        Mirrors the reference scorer decision-for-decision: the
         finalized short-circuit, the multiplicity gate, the coverage
-        threshold and the finalization rule all use the same values in
-        the same order.  The gate is ``upper_bound`` inlined: the
-        per-symbol window counts come from the index and the credit
-        sum is an integer, so the resulting bound float is identical.
+        threshold and the finalization rule all use the same values.
+        The gate is ``upper_bound`` inlined: the per-symbol window
+        counts come from the index and the credit sum is an integer,
+        so the resulting bound float is identical.  Each class is
+        gated and scored once, for the members not yet finalized;
+        ``candidates_gated`` still counts candidates.
         """
         stats = self._stats
         index_count = self._index.count
@@ -416,24 +497,31 @@ class MatchSession:
         counts_get = counts.get
         scores: Dict[int, Score] = {}
         gated = 0
-        for position, state in enumerate(self._states):
-            if finalized and position in finalized:
-                scores[position] = finalized[position]
-                continue
+        for state in self._states:
+            cls = state.cls
+            members = pending = cls.members
+            if finalized:
+                pending = tuple(p for p in members if p not in finalized)
+                if len(pending) < len(members):
+                    scores.update(
+                        (p, finalized[p]) for p in members if p in finalized
+                    )
+                    if not pending:
+                        continue
             matched = 0
-            for symbol, need in state.needle_items:
+            for symbol, need in cls.needle_counts.items():
                 have = counts_get(symbol)
                 if have is None:
                     have = index_count(symbol, lo, hi)
                     counts[symbol] = have
                 matched += need if need < have else have
             required = state.required
-            if matched / state.size < required:
-                gated += 1
+            if matched / cls.size < required:
+                gated += len(pending)
                 continue
             block = state.block
             if block is None:
-                alphabet = state.candidate.alphabet
+                alphabet = cls.alphabet
                 block = blocks.get(alphabet)
                 if block is None:
                     block = _AlphabetBlock(alphabet, self._index)
@@ -451,18 +539,19 @@ class MatchSession:
                 if width <= 0:
                     result = (0, 0.0)
                 else:
-                    result = state.run(block.shifted(a), width, stats)
+                    result = cls.run(block.shifted(a), width, stats)
                 state.last_span = span
                 state.last_result = result
             length, coverage = result
             if coverage >= required:
-                scores[position] = result
+                scored = dict.fromkeys(pending, result)
+                scores.update(scored)
                 # A candidate is final only once its *longest* cut is
                 # fully corroborated (see the reference scorer).
                 if (coverage >= 0.999
-                        and length >= state.final_length
+                        and length >= cls.final_length
                         and finalized is not None):
-                    finalized[position] = result
+                    finalized.update(scored)
         stats.candidates_gated += gated
         return scores
 
@@ -480,9 +569,17 @@ class MatchingEngine:
         *,
         threshold: float,
         strict: bool,
+        classes: Optional[Sequence[ScoringClass]] = None,
     ) -> MatchSession:
-        """A fresh scoring session over one snapshot's fragments."""
+        """A fresh scoring session over one snapshot's fragments.
+
+        ``classes`` is the partition of ``candidates`` memoized with
+        the list (``repro.core.detector.Selection``); an ad-hoc list
+        is partitioned here.
+        """
+        if classes is None:
+            classes = scoring_classes(candidates)
         return MatchSession(
-            SnapshotIndex(fragments), candidates,
+            SnapshotIndex(fragments), candidates, classes=classes,
             threshold=threshold, strict=strict, stats=self.stats,
         )

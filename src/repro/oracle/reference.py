@@ -27,6 +27,7 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -35,6 +36,7 @@ from repro.core.detector import (
     OperationDetector,
     ScoreFn,
     Scores,
+    Selection,
     _Candidate,
     prepare_candidate,
 )
@@ -66,7 +68,7 @@ class ReferenceDetector(OperationDetector):
 
     def _prepare_candidates(
         self, symbol: str, truncate: bool
-    ) -> List[_Candidate]:
+    ) -> Selection:
         """Full scan: prepare every fingerprint containing ``symbol``."""
         truncate_here = truncate and self.config.truncate_fingerprints
         relaxed = self.config.relaxed_match
@@ -77,12 +79,12 @@ class ReferenceDetector(OperationDetector):
                 fingerprint, self._effective(fingerprint), symbol,
                 truncate=truncate_here, relaxed=relaxed,
             ))
-        return prepared
+        return Selection(prepared)
 
     def _scorer(
         self,
         snapshot: Snapshot,
-        candidates: List[_Candidate],
+        candidates: Selection,
         correlation_id: str,
     ) -> ScoreFn:
         def run(
@@ -118,7 +120,7 @@ class ReferenceDetector(OperationDetector):
             if piece and event.request_id == correlation_id
         )
 
-    def _score(self, candidates: List[_Candidate], buffer_symbols: str,
+    def _score(self, candidates: Sequence[_Candidate], buffer_symbols: str,
                finalized: Optional[Scores] = None) -> Scores:
         """(corroborated length, coverage) per gated candidate index,
         from scratch over the joined window string."""

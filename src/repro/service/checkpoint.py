@@ -63,9 +63,11 @@ class CheckpointStore:
             "state": dict(state),
         }
         tmp = path.with_suffix(path.suffix + ".tmp")
+        # ``json.dumps`` takes the C encoder; ``json.dump`` streams
+        # through the pure-Python ``iterencode`` (~5x slower here).
+        payload = json.dumps(envelope, separators=(",", ":"))
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle, separators=(",", ":"))
-            handle.write("\n")
+            handle.write(payload + "\n")
         os.replace(tmp, path)
         self.writes += 1
         return path

@@ -175,6 +175,17 @@ def test_hydrated_candidates_are_shared_across_detectors(
     assert a.candidates_indexed > 0
 
 
+def test_prep_pool_holds_one_string_per_symbol(library):
+    """Alphabets and needle counts share interned symbol strings
+    instead of one fresh copy per prep entry."""
+    index = compile_library(library)
+    entries = [
+        symbol for prep in index.preps
+        for symbol in (*prep.alphabet, *prep.needle_counts)
+    ]
+    assert len({id(symbol) for symbol in entries}) == len(set(entries))
+
+
 def test_verify_selection_passes_on_a_fresh_index(library):
     result = verify_selection(library, strict=False)
     assert result.ok

@@ -14,6 +14,7 @@ from repro.core.fingerprint import (
 from repro.core.matching import (
     MatchSession,
     MatchingStats,
+    ScoringClass,
     SnapshotIndex,
     WindowCounts,
     select_cut,
@@ -346,6 +347,54 @@ def test_verify_detection_raises_on_divergence(
     )
     assert not outcome.ok
     assert outcome.mismatches
+
+
+def test_verify_detection_catches_classes_that_ignore_cuts(
+        catalog, symbols, monkeypatch):
+    """Scoring classes keyed on the needle alone merge candidates whose
+    truncation cuts differ; the oracle must catch the merged result."""
+    library = FingerprintLibrary(symbols)
+    # A fault on POLL truncates both to the state-change needle
+    # IMAGE·BOOT, cut after IMAGE only where a POLL sits between them.
+    for name, specs in {
+        "op-poll-between": [IMAGE, POLL, BOOT, POLL],
+        "op-poll-after": [IMAGE, BOOT, POLL],
+    }.items():
+        library.add(generate_fingerprint(
+            name, [to_keys(catalog, specs)], symbols, catalog,
+        ))
+    snapshot = make_snapshot(catalog, [BOOT, IMAGE, POLL], POLL)
+    detector = make_detector(library, symbols, catalog)
+    first, second = detector.candidates_for(snapshot.fault.api_key)
+    assert first.needle == second.needle
+    assert first.cut_lengths != second.cut_lengths
+    assert len(detector.candidates_for(snapshot.fault.api_key).classes) == 2
+    assert verify_detection([snapshot], library, catalog=catalog).ok
+
+    session_init = MatchSession.__init__
+
+    def grouped_by_needle(self, index, candidates, *, classes, **kwargs):
+        groups = {}
+        for position, candidate in enumerate(candidates):
+            groups.setdefault(
+                (candidate.needle, candidate.pure_read), []
+            ).append(position)
+        merged = [
+            ScoringClass(candidates[members[0]], tuple(members))
+            for members in groups.values()
+        ]
+        session_init(self, index, candidates, classes=merged, **kwargs)
+
+    monkeypatch.setattr(MatchSession, "__init__", grouped_by_needle)
+    with pytest.raises(Divergence) as excinfo:
+        verify_detection([snapshot], library, catalog=catalog)
+    assert excinfo.value.oracle == "detection"
+    expected, actual = excinfo.value.first
+    # Only op-poll-between's IMAGE cut is fully covered by the buffer;
+    # the merged class scores both on op-poll-after's single cut
+    # (first by name) and loses the match.
+    assert expected[1] == ("op-poll-between",)
+    assert actual[1] == ()
 
 
 def test_verify_detection_covers_performance_path(

@@ -6,8 +6,13 @@ the reference scorer ``ReferenceDetector._score`` (see
 properties randomize everything the adaptive loop varies — snapshot
 contents, fault position, β growth schedule, candidate needles, cut
 points and pure-read flags — and hold the two scorers to exact
-equality, including the ``finalized`` side-channel.
+equality, including the ``finalized`` side-channel.  Candidate lists
+carry duplicated preparations, so the engine's scoring classes (one
+state per distinct ``(needle, cuts, pure_read)``) fan results out to
+several positions in every case.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.detector import _Candidate
+from repro.core.matching import scoring_classes
 from repro.oracle import ReferenceDetector, verify_detection
 from repro.workloads.traffic import SyntheticStream
 
@@ -54,6 +60,63 @@ def candidates(draw):
     )
 
 
+def state_change(needle, cuts, full_symbols=None):
+    return _Candidate(
+        original=None, sc_symbols=needle, cut_lengths=list(cuts),
+        full_symbols=full_symbols or needle, pure_read=False,
+    )
+
+
+def pure_read(symbols, cuts=(0,)):
+    return _Candidate(
+        original=None, sc_symbols="", cut_lengths=list(cuts),
+        full_symbols=symbols, pure_read=True,
+    )
+
+
+@st.composite
+def duplicated_preps(draw):
+    """A state-change candidate plus the three neighbours a scoring
+    class must tell apart: a class-mate (same needle and cuts, other
+    ``full_symbols``), the same needle under other cuts, and the same
+    symbol string scored as a pure read (under the same cuts, so only
+    the flag tells them apart).  Returns the four in that order."""
+    needle = draw(st.text(alphabet=ALPHABET, min_size=2, max_size=8))
+    cuts = draw(st.sets(
+        st.integers(min_value=1, max_value=len(needle)), max_size=4,
+    ))
+    cuts.add(len(needle))
+    cuts = sorted(cuts)
+    # Reads interleaved into the full string do not enter the needle.
+    reads = draw(st.text(alphabet=ALPHABET, min_size=1, max_size=3))
+    other_cuts = [len(needle)] if len(cuts) > 1 else [1, len(needle)]
+    return (
+        state_change(needle, cuts),
+        state_change(needle, cuts, full_symbols=reads + needle),
+        state_change(needle, other_cuts),
+        pure_read(needle, cuts),
+    )
+
+
+@st.composite
+def candidate_pools(draw):
+    """A shuffled candidate list with duplicated preparations: the
+    :func:`duplicated_preps` quartet, independent candidates, and
+    exact copies of some of them.  Returns ``(pool, quartet)``."""
+    quartet = draw(duplicated_preps())
+    pool = list(quartet) + draw(st.lists(candidates(), max_size=5))
+    copies = draw(st.lists(st.sampled_from(pool), max_size=4))
+    pool += [
+        _Candidate(
+            original=None, sc_symbols=c.sc_symbols,
+            cut_lengths=list(c.cut_lengths),
+            full_symbols=c.full_symbols, pure_read=c.pure_read,
+        )
+        for c in copies
+    ]
+    return draw(st.permutations(pool)), quartet
+
+
 @st.composite
 def scoring_cases(draw):
     fragments = draw(st.lists(
@@ -63,7 +126,7 @@ def scoring_cases(draw):
     fault = draw(st.integers(min_value=0, max_value=len(fragments) - 1))
     beta = draw(st.integers(min_value=1, max_value=6))
     delta = draw(st.integers(min_value=1, max_value=5))
-    pool = draw(st.lists(candidates(), min_size=1, max_size=6))
+    pool, _ = draw(candidate_pools())
     return fragments, fault, beta, delta, pool
 
 
@@ -91,12 +154,25 @@ def test_session_equals_reference_on_random_growth(detector, case):
     )
     finalized_ref = {}
     finalized_inc = {}
+    stats = detector.matching.stats
+    gated_before = stats.candidates_gated
+    expected_gated = 0
     for lo, hi in growth_windows(len(fragments), fault, beta, delta):
         buffer_symbols = "".join(fragments[lo:hi])
+        # ``candidates_gated`` counts candidates, not classes.
+        expected_gated += sum(
+            1 for position, candidate in enumerate(pool)
+            if position not in finalized_ref
+            and candidate.upper_bound(Counter(buffer_symbols)) < (
+                0.999 if candidate.pure_read
+                else detector.config.match_coverage
+            )
+        )
         reference = detector._score(pool, buffer_symbols, finalized_ref)
         incremental = session.score(lo, hi, finalized_inc)
         assert incremental == reference
         assert finalized_inc == finalized_ref
+    assert stats.candidates_gated - gated_before == expected_gated
 
 
 @given(case=scoring_cases(), strict=st.booleans())
@@ -119,6 +195,29 @@ def test_session_equals_reference_without_finalization(
         buffer_symbols = "".join(fragments[lo:hi])
         reference = reference_detector._score(pool, buffer_symbols)
         assert session.score(lo, hi) == reference
+
+
+@given(drawn=candidate_pools())
+@settings(max_examples=100, deadline=None)
+def test_scoring_classes_follow_the_class_key(drawn):
+    """Class-mates share a class; other cuts or the other scoring mode
+    do not; every position belongs to exactly one class."""
+    pool, (base, mate, recut, flipped) = drawn
+    classes = scoring_classes(pool)
+    owner = {}
+    for number, cls in enumerate(classes):
+        for position in cls.members:
+            assert position not in owner
+            owner[position] = number
+            candidate = pool[position]
+            assert (candidate.needle, tuple(candidate.cut_lengths),
+                    candidate.pure_read) == (
+                cls.needle, tuple(cls.cuts), cls.pure_read)
+    assert sorted(owner) == list(range(len(pool)))
+    where = {id(candidate): owner[i] for i, candidate in enumerate(pool)}
+    assert where[id(base)] == where[id(mate)]
+    assert where[id(base)] != where[id(recut)]
+    assert where[id(base)] != where[id(flipped)]
 
 
 @given(

@@ -305,3 +305,38 @@ def test_match_session_refuses_candidate_count_mismatch(detector):
     state = build(2).snapshot_state()
     with pytest.raises(StateError, match="candidates"):
         build(3).restore_state(state)
+
+
+def test_match_session_refuses_state_that_splits_a_class(detector):
+    """Class members share one memo; saved entries that disagree for
+    two members of one class cannot be restored faithfully."""
+    from repro.core.detector import _Candidate
+    from repro.core.state import StateError
+
+    pool = [
+        _Candidate(
+            original=None, sc_symbols="AB", cut_lengths=[1, 2],
+            full_symbols=full, pure_read=False,
+        )
+        for full in ("AB", "ACB", "AB")
+    ]
+
+    def build():
+        return detector.matching.session(
+            ["A", "C", "B", "A"], pool,
+            threshold=detector.config.match_coverage, strict=False,
+        )
+
+    original = build()
+    original.score(0, 3)
+    state = round_trip(original.snapshot_state())
+    # Per candidate on the wire: one entry each, all equal.
+    assert state["candidates"] == len(state["states"]) == 3
+    assert state["states"][0] == state["states"][1] == state["states"][2]
+    build().restore_state(state)
+
+    for field, value in (("span", [0, 1]), ("result", [1, 0.5])):
+        tampered = round_trip(state)
+        tampered["states"][2][field] = value
+        with pytest.raises(StateError, match="scoring class"):
+            build().restore_state(tampered)

@@ -23,6 +23,27 @@ def test_save_load_round_trip(tmp_path):
     assert envelope["fmt"] == CheckpointStore.STATE_FMT
 
 
+def test_saved_file_is_compact_json_dumps(tmp_path):
+    """The file is exactly the compact ``json.dumps`` of the envelope
+    plus a newline (the format ``json.dump`` wrote before)."""
+    state = dict(
+        STATE,
+        nested={"floats": [0.1, 1e-9, 2.5], "none": None, "ok": True},
+        symbols="Āǿ☃",
+    )
+    store = CheckpointStore(tmp_path)
+    path = store.save("acme", state, seq=7)
+    envelope = {
+        "fmt": CheckpointStore.STATE_FMT,
+        "tenant": "acme",
+        "seq": 7,
+        "state": state,
+    }
+    expected = json.dumps(envelope, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert store.load("acme") == state
+
+
 def test_load_missing_returns_none(tmp_path):
     store = CheckpointStore(tmp_path)
     assert store.load("nobody") is None
